@@ -131,25 +131,25 @@ class Algebra:
         f = self.field
         out = [f.zero] * self.dim
         for i, ui in enumerate(u):
-            if ui == f.zero:
+            if not ui:
                 continue
             for j, vj in enumerate(v):
-                if vj == f.zero:
+                if not vj:
                     continue
                 c = f.mul(ui, vj)
                 tij = self.mult_table[i][j]
                 for r in range(self.dim):
-                    if tij[r] != f.zero:
+                    if tij[r]:
                         out[r] = f.add(out[r], f.mul(c, tij[r]))
         return tuple(out)
 
     def is_nilpotent(self, u):
         w = u
         for _ in range(self.bound + 1):
-            if all(x == self.field.zero for x in w):
+            if not any(w):
                 return True
             w = self.multiply(w, u)
-        return all(x == self.field.zero for x in w)
+        return not any(w)
 
     def element_from_terms(self, terms):
         """Build an element from (coeff, exponent-tuple) terms."""
@@ -160,7 +160,7 @@ class Algebra:
             if nf is None:
                 nf = self._reduce_monomial(tuple(exps))
             for r in range(self.dim):
-                if nf[r] != f.zero:
+                if nf[r]:
                     out[r] = f.add(out[r], f.mul(coeff, nf[r]))
         return tuple(out)
 
@@ -192,9 +192,9 @@ def _dot_coeff(A, u, j, r):
     f = A.field
     s = f.zero
     for i, ui in enumerate(u):
-        if ui != f.zero:
+        if ui:
             t = A.mult_table[i][j][r]
-            if t != f.zero:
+            if t:
                 s = f.add(s, f.mul(ui, t))
     return s
 
@@ -221,7 +221,7 @@ def build_algebra(pres):
 
     rows = []
     for rel in pres.relations:
-        if all(c == f.zero for c, _ in rel):
+        if not any(c for c, _ in rel):
             continue
         for m in mons:
             if sum(m) > N - 1:
@@ -230,11 +230,11 @@ def build_algebra(pres):
             nonzero = False
             for coeff, exps in rel:
                 prod = tuple(a + b for a, b in zip(m, exps))
-                if sum(prod) <= N and coeff != f.zero:
+                if sum(prod) <= N and coeff:
                     c = col_of[prod]
                     row[c] = f.add(row[c], coeff)
                     nonzero = True
-            if nonzero and any(x != f.zero for x in row):
+            if nonzero and any(row):
                 rows.append(tuple(row))
 
     if rows:
@@ -248,12 +248,12 @@ def build_algebra(pres):
         return linalg.reduce_vector(red, pivots, vec, f)
 
     one_mon = tuple(0 for _ in range(n))
-    if all(x == f.zero for x in normal_form_cols(one_mon)):
+    if not any(normal_form_cols(one_mon)):
         raise InconsistentPresentation("1 reduces to 0 in the presentation")
 
     for m in mons:
         if sum(m) == N:
-            if any(x != f.zero for x in normal_form_cols(m)):
+            if any(normal_form_cols(m)):
                 raise BoundNotCertified(
                     "degree-%d monomial %r does not reduce to 0" % (N, m)
                 )
@@ -273,7 +273,7 @@ def build_algebra(pres):
         v = normal_form_cols(exps)
         out = [f.zero] * dim
         for ci, x in enumerate(v):
-            if x != f.zero:
+            if x:
                 out[basis_index[cols[ci]]] = x
         return tuple(out)
 
@@ -330,12 +330,16 @@ def _validate_algebra(A):
 
 
 class Ideal:
-    """A canonical subspace of the regular module, closed under the action."""
+    """A canonical subspace of the regular module, closed under the action.
+
+    Immutable after construction, so derived data is memoized on it.
+    """
 
     def __init__(self, parent, basis_matrix, pivots):
         self.parent = parent
         self.basis_matrix = tuple(tuple(r) for r in basis_matrix)
         self.pivots = tuple(pivots)
+        self._minimal_generators = None
 
     @property
     def dim(self):
@@ -435,7 +439,16 @@ def annihilator_of_ideal(I):
 
 
 def minimal_generators(I):
-    """A minimal generating set: basis rows independent modulo m*I."""
+    """A minimal generating set: basis rows independent modulo m*I.
+
+    Computed once per Ideal and kept on it.
+    """
+    if I._minimal_generators is None:
+        I._minimal_generators = _minimal_generators(I)
+    return I._minimal_generators
+
+
+def _minimal_generators(I):
     A = I.parent
     if I.dim == 0:
         return ()

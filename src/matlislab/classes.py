@@ -18,7 +18,6 @@ from . import linalg
 from .algebra import (
     annihilator_of_ideal,
     ideal_product,
-    is_iso_to_regular,
     minimal_generators,
 )
 from .duality import annihilator_in_dual, matlis_dual

@@ -2,7 +2,8 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over Q, ints in
 ``range(p)`` over F_p.  The field object carries the arithmetic so matrix
-code can stay generic.
+code can stay generic.  Both kinds of scalar are falsy exactly when zero,
+so generic code tests ``if x:`` rather than comparing with ``field.zero``.
 """
 
 from fractions import Fraction

@@ -98,6 +98,15 @@ def _scalar(field, raw, where):
     raise FixtureValidationError("%s: bad scalar %r" % (where, raw))
 
 
+def _integer(raw, where, minimum=None):
+    """A JSON integer field; booleans, floats and strings are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise FixtureValidationError("%s must be an integer, got %r" % (where, raw))
+    if minimum is not None and raw < minimum:
+        raise FixtureValidationError("%s must be >= %d, got %d" % (where, minimum, raw))
+    return raw
+
+
 def fixture_from_dict(doc, name="<fixture>"):
     for key in ("field", "vars", "relations", "nilpotency"):
         if key not in doc:
@@ -116,7 +125,9 @@ def fixture_from_dict(doc, name="<fixture>"):
                     "relation %d has a degree-0 term: residue field must equal "
                     "the coefficient field" % i
                 )
-    pres = Presentation(field, variables, relations, int(doc["nilpotency"]))
+    pres = Presentation(
+        field, variables, relations, _integer(doc["nilpotency"], "nilpotency")
+    )
     algebra = build_algebra(pres)
 
     gens = [
@@ -132,9 +143,8 @@ def fixture_from_dict(doc, name="<fixture>"):
     modules.setdefault("k", residue_field_module(algebra))
     modules.setdefault("E", injective_cogenerator(algebra))
 
-    return Fixture(
-        doc.get("name", name), algebra, ideal, modules, int(doc.get("seed", 1))
-    )
+    seed = _integer(doc.get("seed", 1), "seed")
+    return Fixture(doc.get("name", name), algebra, ideal, modules, seed)
 
 
 def _build_module(A, field, nvars, mname, spec):
@@ -155,7 +165,7 @@ def _build_module(A, field, nvars, mname, spec):
         sub = generated_submodule(R, gens)
         return quotient_module(R, sub)[0]
     if kind == "presentation":
-        rank = int(spec["rank"])
+        rank = _integer(spec.get("rank"), "%s: rank" % where, minimum=0)
         cols = []
         for col in spec.get("columns", []):
             if len(col) != rank:
@@ -168,7 +178,7 @@ def _build_module(A, field, nvars, mname, spec):
             cols.append(tuple(vec))
         return cokernel_of_presentation(A, rank, cols)[0]
     if kind == "explicit":
-        dim = int(spec["dim"])
+        dim = _integer(spec.get("dim"), "%s: dim" % where, minimum=0)
         var_mats = {}
         for vname, mat in spec.get("actions", {}).items():
             if vname not in A.variables:

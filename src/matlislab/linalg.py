@@ -9,6 +9,7 @@ fallback.  Both backends produce identical output.
 
 import os
 from fractions import Fraction
+from math import gcd
 
 from .fields import PrimeField
 from . import _kernels_py
@@ -30,32 +31,33 @@ def rref(rows, field):
     Canonical: pivots are 1, pivot columns are cleared, pivot selection
     scans columns left to right taking the topmost available row.
     """
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if not rows or not rows[0]:
         return (), ()
     if isinstance(field, PrimeField):
         p = field.p
         out, pivots = _kernels.rref_fp([[v % p for v in r] for r in rows], p)
         return tuple(tuple(r) for r in out), tuple(pivots)
+    # entries are Fractions or ints; both carry numerator/denominator, so
+    # clearing denominators needs no Fraction arithmetic
     int_rows = []
     for r in rows:
         den = 1
         for v in r:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // _gcd(den, v.denominator)
-        int_rows.append([int(v * den) if isinstance(v, Fraction) else v * den for v in r])
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        if den == 1:
+            int_rows.append([v.numerator for v in r])
+        else:
+            int_rows.append([v.numerator * (den // v.denominator) for v in r])
     out, pivots = _kernels.rref_int(int_rows)
+    zero = field.zero
     frows = []
     for i, row in enumerate(out):
         piv = row[pivots[i]]
-        frows.append(tuple(Fraction(v, piv) for v in row))
+        frows.append(tuple(Fraction(v, piv) if v else zero for v in row))
     return tuple(frows), tuple(pivots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def reduce_vector(rref_rows, pivots, vec, field):
@@ -63,14 +65,14 @@ def reduce_vector(rref_rows, pivots, vec, field):
     v = list(vec)
     for row, c in zip(rref_rows, pivots):
         a = v[c]
-        if a != field.zero:
+        if a:
             for k in range(c, len(v)):
                 v[k] = field.sub(v[k], field.mul(a, row[k]))
     return tuple(v)
 
 
 def in_row_space(rref_rows, pivots, vec, field):
-    return all(x == field.zero for x in reduce_vector(rref_rows, pivots, vec, field))
+    return not any(reduce_vector(rref_rows, pivots, vec, field))
 
 
 def nullspace(rows, field):
@@ -119,7 +121,7 @@ def mat_mul(a, b, field):
             s = field.zero
             for k in range(n):
                 x = row[k]
-                if x != field.zero:
+                if x:
                     s = field.add(s, field.mul(x, b[k][j]))
             orow.append(s)
         out.append(tuple(orow))
@@ -131,7 +133,7 @@ def mat_vec(a, v, field):
     for row in a:
         s = field.zero
         for x, y in zip(row, v):
-            if x != field.zero and y != field.zero:
+            if x and y:
                 s = field.add(s, field.mul(x, y))
         out.append(s)
     return tuple(out)
@@ -178,4 +180,4 @@ def vanishing_functionals(rows, ncols, field):
 
 
 def is_zero_matrix(a, field):
-    return all(x == field.zero for row in a for x in row)
+    return not any(x for row in a for x in row)

@@ -26,6 +26,7 @@ class FModule:
         self.parent = parent
         self.actions = tuple(tuple(tuple(r) for r in a) for a in actions)
         self.dim = len(self.actions[0]) if self.actions and self.actions[0] else 0
+        self._generator_actions = None
         if len(self.actions) != parent.dim:
             raise NotASubmodule(
                 "need one action matrix per algebra basis element"
@@ -45,7 +46,7 @@ class FModule:
                 prod = linalg.mat_mul(self.actions[i], self.actions[j], f)
                 expect = linalg.zeros(n, n, f)
                 for k, c in enumerate(A.mult_table[i][j]):
-                    if c != f.zero:
+                    if c:
                         expect = linalg.mat_add(
                             expect, linalg.mat_scale(c, self.actions[k], f), f
                         )
@@ -55,15 +56,28 @@ class FModule:
     def action_of(self, u):
         """Action matrix of an arbitrary ring element (coordinate vector)."""
         f = self.parent.field
-        out = linalg.zeros(self.dim, self.dim, f)
-        for i, c in enumerate(u):
-            if c != f.zero:
-                out = linalg.mat_add(out, linalg.mat_scale(c, self.actions[i], f), f)
+        terms = [(i, c) for i, c in enumerate(u) if c]
+        if not terms:
+            return linalg.zeros(self.dim, self.dim, f)
+        if len(terms) == 1 and terms[0][1] == f.one:
+            return self.actions[terms[0][0]]
+        i, c = terms[0]
+        out = linalg.mat_scale(c, self.actions[i], f)
+        for i, c in terms[1:]:
+            out = linalg.mat_add(out, linalg.mat_scale(c, self.actions[i], f), f)
         return out
 
     def generator_actions(self):
-        """Action matrices of the algebra variables; they generate with 1."""
-        return [self.action_of(v) for v in self.parent.var_elements]
+        """Action matrices of the algebra variables; they generate with 1.
+
+        Computed once per module (the actions never change) and returned
+        as a tuple so that callers cannot alter the kept value.
+        """
+        if self._generator_actions is None:
+            self._generator_actions = tuple(
+                self.action_of(v) for v in self.parent.var_elements
+            )
+        return self._generator_actions
 
     def zero_vector(self):
         return tuple(self.parent.field.zero for _ in range(self.dim))

@@ -451,6 +451,9 @@ SUITES = {name: (fn, default) for name, fn, default in SUITE_ORDER}
 
 def run_suite(fx, suite, trials=None, seed=None, budget=500):
     """Run one named suite (or "all") and return its Report."""
+    for flag, value in (("trials", trials), ("budget", budget)):
+        if value is not None and value < 0:
+            raise MatlisLabError("%s must be non-negative, got %d" % (flag, value))
     if seed is None:
         seed = fx.seed
     names = [n for n, _, _ in SUITE_ORDER] if suite == "all" else [suite]

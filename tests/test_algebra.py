@@ -115,6 +115,17 @@ def test_minimal_generators(KXY):
     assert ideal_from_generators(KXY, gens).basis_matrix == m.basis_matrix
 
 
+def test_minimal_generators_memo_matches_fresh_ideal(KXY):
+    x = KXY.var_elements[0]
+    m = KXY.max_ideal
+    for I in (m, ideal_from_generators(KXY, [x]), ideal_product(m, m), zero_ideal(KXY)):
+        gens = minimal_generators(I)
+        assert minimal_generators(I) is gens
+        fresh = ideal_from_generators(KXY, list(I.basis_matrix))
+        assert fresh == I and fresh is not I
+        assert minimal_generators(fresh) == gens
+
+
 def test_is_iso_to_regular(R3, KXY):
     one = R3.element_from_terms([(F(1), (0,))])
     assert is_iso_to_regular(unit_ideal(R3))

@@ -66,6 +66,15 @@ def test_verify_suite_exit_zero(capsys):
         assert line.startswith("CHECK ") and " PASS " in line
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--budget"])
+def test_verify_negative_count_is_input_error(capsys, flag):
+    rc = main(["verify", "lemma11", "--fixture", fix("R3"), flag, "-5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
 def test_verify_json_variant(capsys):
     rc = main(["verify", "closure", "--fixture", fix("V2"), "--trials", "3", "--json"])
     assert rc == 0

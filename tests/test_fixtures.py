@@ -68,6 +68,26 @@ def test_missing_key():
         fixture_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"nilpotency": "abc"},
+        {"nilpotency": 2.5},
+        {"nilpotency": True},
+        {"seed": "abc"},
+        {"seed": None},
+        {"modules": {"M": {"type": "presentation", "rank": "one", "columns": []}}},
+        {"modules": {"M": {"type": "presentation", "columns": []}}},
+        {"modules": {"M": {"type": "presentation", "rank": -1, "columns": []}}},
+        {"modules": {"M": {"type": "explicit", "dim": 1.5, "actions": {}}}},
+        {"modules": {"M": {"type": "explicit", "dim": -2, "actions": {}}}},
+    ],
+)
+def test_bad_integer_fields_rejected(changes):
+    with pytest.raises(FixtureValidationError):
+        fixture_from_dict(dict(R3_DOC, **changes))
+
+
 def test_unknown_module_type():
     doc = dict(R3_DOC, modules={"M": {"type": "mystery"}})
     with pytest.raises(FixtureValidationError):

@@ -37,6 +37,41 @@ def test_rref_rational_fractions():
     assert red == ((F(1), F(0)), (F(0), F(1)))
 
 
+def _rref_by_fractions(rows):
+    """Textbook Gauss-Jordan on Fractions, the reference for rref over Q."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                a = m[i][c]
+                m[i] = [x - a * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def test_rref_rational_mixed_ints_and_large_denominators():
+    p, q = 1_000_000_007, 998_244_353  # coprime
+    r0 = (3, F(1, p), F(-2, q), 0, F(5, 7))
+    r1 = (F(2, q), 1, F(7, p * q), F(1, 3), -4)
+    dependent = tuple(2 * a - F(5, p) * b for a, b in zip(r0, r1))
+    rows = [r0, r1, dependent, (0, 0, 0, 0, 0), (F(p, q), -1, 2, F(1, p), F(q, p))]
+    red, pivots = linalg.rref(rows, QQ)
+    assert (red, pivots) == _rref_by_fractions(rows)
+    assert len(pivots) == 3
+    assert all(type(x) is Fraction for row in red for x in row)
+    # the same rows written with Fractions only give the same answer
+    as_fractions = [tuple(F(x) for x in r) for r in rows]
+    assert linalg.rref(as_fractions, QQ) == (red, pivots)
+
+
 def test_rref_mod_p():
     rows = [(1, 2, 3), (2, 4, 2)]
     red, pivots = linalg.rref(rows, F5)

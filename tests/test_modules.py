@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from matlislab import linalg
 from matlislab.algebra import ideal_from_generators
 from matlislab.errors import NotEquivariant, NotUniserial
 from matlislab.modules import (
@@ -38,6 +39,35 @@ def test_regular_module_actions(r3):
     # multiplication by x shifts the monomial basis 1 -> x -> x^2 -> 0
     v = x_act and tuple(row[0] for row in x_act)
     assert v == (F(0), F(1), F(0))
+
+
+@pytest.mark.parametrize("name", ["r3", "r4", "kxy"])
+def test_action_of_matches_explicit_combination(request, name):
+    fx = request.getfixturevalue(name)
+    A = fx.algebra
+    f = A.field
+    M = fx.module("E")
+
+    def explicit(u):
+        out = linalg.zeros(M.dim, M.dim, f)
+        for i, c in enumerate(u):
+            out = linalg.mat_add(out, linalg.mat_scale(c, M.actions[i], f), f)
+        return out
+
+    unit = tuple(f.one if i == 1 else f.zero for i in range(A.dim))
+    scaled = tuple(f.mul(f.of(3), x) for x in unit)
+    general = tuple(f.of(i * i - 2) if i != 1 else f.zero for i in range(A.dim))
+    for u in (unit, scaled, general, A.zero()):
+        assert M.action_of(u) == explicit(u)
+    assert M.action_of(unit) == M.actions[1]
+
+
+def test_generator_actions_kept_as_tuple(kxy):
+    M = regular_module(kxy.algebra)
+    ga = M.generator_actions()
+    assert isinstance(ga, tuple)
+    assert M.generator_actions() is ga
+    assert ga == tuple(M.action_of(v) for v in kxy.algebra.var_elements)
 
 
 def test_socle_and_radical(r3, kxy):

@@ -1,9 +1,23 @@
+import hashlib
+
 import pytest
 
+from matlislab.errors import MatlisLabError
 from matlislab.report import CheckRecord, Report, check
 from matlislab.suites import SUITES, run_suite
 
+from conftest import load
+
 SUITE_NAMES = sorted(SUITES)
+
+# sha256 prefixes of run_suite(fx, "all").render() at each shipped
+# fixture's own seed and the default trial counts
+REPORT_DIGESTS = {
+    "R3": "9636754dc0e6",
+    "R4": "9fea7fea341c",
+    "KXY": "2acd3285e385",
+    "V2": "f2fc0013d7fa",
+}
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -51,3 +65,17 @@ def test_record_and_report_rendering():
 def test_fail_records_carry_witness():
     rec = CheckRecord("x", "FX", "FAIL", "")
     assert rec.witness == "-"
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_default_report_bytes_pinned(name):
+    # a freshly parsed fixture: nothing memoized by earlier tests is reused,
+    # and a memo that is wrong but consistent still changes the bytes
+    text = run_suite(load(name), "all").render()
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": -1}, {"budget": -5}])
+def test_negative_trials_or_budget_rejected(r3, kwargs):
+    with pytest.raises(MatlisLabError):
+        run_suite(r3, "lemma11", **kwargs)
