@@ -10,12 +10,10 @@ from .algebra import Presentation, build_algebra, ideal_from_generators
 from .classes import ClassContext, gamma, is_p_member, is_s_member, kappa
 from .duality import injective_cogenerator, matlis_dual
 from .fixtures import fixture_from_dict, parse_fixture
-from .linalg import BACKEND
 from .modules import FModule, ModuleMap, Submodule, regular_module
 from .suites import run_suite
 
 __all__ = [
-    "BACKEND",
     "ClassContext",
     "FModule",
     "ModuleMap",

@@ -8,8 +8,6 @@ first).  Ideals are canonical reduced-echelon subspaces of the regular
 module, closed under multiplication.
 """
 
-from itertools import combinations
-
 from . import linalg
 from .errors import (
     BoundNotCertified,
@@ -110,18 +108,6 @@ class Algebra:
     def one(self):
         return _unit_vector(self.dim, 0, self.field)
 
-    def element_action(self, u):
-        """Matrix of multiplication by the element u on the regular module."""
-        rows = []
-        for r in range(self.dim):
-            rows.append(
-                tuple(
-                    _dot_coeff(self, u, j, r)
-                    for j in range(self.dim)
-                )
-            )
-        return tuple(rows)
-
     def multiply(self, u, v):
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch(
@@ -186,17 +172,6 @@ class Algebra:
             self.dim,
             ",".join(self.variables),
         )
-
-
-def _dot_coeff(A, u, j, r):
-    f = A.field
-    s = f.zero
-    for i, ui in enumerate(u):
-        if ui:
-            t = A.mult_table[i][j][r]
-            if t:
-                s = f.add(s, f.mul(ui, t))
-    return s
 
 
 def _unit_vector(n, i, field):
@@ -449,79 +424,8 @@ def minimal_generators(I):
 
 
 def _minimal_generators(I):
-    A = I.parent
     if I.dim == 0:
         return ()
-    mI = ideal_product(A.max_ideal, I)
-    chosen = []
-    current = list(mI.basis_matrix)
-    rk = linalg.rank(current, A.field) if current else 0
-    for row in I.basis_matrix:
-        cand = current + [row]
-        r2 = linalg.rank(cand, A.field)
-        if r2 > rk:
-            chosen.append(row)
-            current = cand
-            rk = r2
-        if rk == I.dim:
-            break
-    return tuple(chosen)
-
-
-def is_iso_to_regular(I):
-    """True iff I is isomorphic to the regular module.
-
-    Over an Artinian local algebra this needs a single generator with
-    zero annihilator; the candidate set is the reduced basis of I plus
-    sums of up to three distinct basis elements (over F_p with a small
-    state space, every element of I).
-    """
-    A = I.parent
-    f = A.field
-    if I.dim == 0:
-        return False
-    mI = ideal_product(A.max_ideal, I)
-    if I.dim - mI.dim != 1:
-        # not cyclic, hence not isomorphic to R (and I=R is cyclic)
-        return False
-    candidates = list(I.basis_matrix)
-    if f.char and f.char ** I.dim <= 4096:
-        candidates = list(_all_nonzero_elements(I))
-    else:
-        for k in (2, 3):
-            for combo in combinations(range(I.dim), k):
-                v = [f.zero] * A.dim
-                for c in combo:
-                    row = I.basis_matrix[c]
-                    v = [f.add(a, b) for a, b in zip(v, row)]
-                candidates.append(tuple(v))
-    for g in candidates:
-        gen_rows = [linalg.mat_vec(A.left_mult[i], g, f) for i in range(A.dim)]
-        if linalg.rank(gen_rows, f) != I.dim:
-            continue
-        ann_rows = []
-        cols = gen_rows  # cols[i] = b_i * g
-        for r_idx in range(A.dim):
-            ann_rows.append(tuple(cols[i][r_idx] for i in range(A.dim)))
-        if not linalg.nullspace(ann_rows, f):
-            return True
-    return False
-
-
-def _all_nonzero_elements(I):
-    A = I.parent
-    f = A.field
-    p = f.char
-    k = I.dim
-    for idx in range(1, p**k):
-        coeffs = []
-        t = idx
-        for _ in range(k):
-            coeffs.append(t % p)
-            t //= p
-        v = [f.zero] * A.dim
-        for c, row in zip(coeffs, I.basis_matrix):
-            if c:
-                for j in range(A.dim):
-                    v[j] = f.add(v[j], f.mul(c, row[j]))
-        yield tuple(v)
+    mI = ideal_product(I.parent.max_ideal, I)
+    keep = linalg.extend_basis(mI.basis_matrix, I.basis_matrix, I.parent.field)
+    return tuple(I.basis_matrix[i] for i in keep)

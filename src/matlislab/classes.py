@@ -32,6 +32,7 @@ from .modules import (
     generated_submodule,
     hom_space,
     ideal_times_module,
+    ideal_times_submodule,
     quotient_module,
     radical,
     regular_module,
@@ -64,18 +65,6 @@ class ClassContext:
 
     def __repr__(self):
         return "ClassContext(I dim=%d over %r)" % (self.I.dim, self.algebra)
-
-
-def ideal_times_submodule(I, U):
-    """The submodule I*U inside the ambient of U."""
-    M = U.ambient
-    f = M.parent.field
-    rows = []
-    for g in minimal_generators(I):
-        act = M.action_of(g)
-        for v in U.basis_matrix:
-            rows.append(linalg.mat_vec(act, v, f))
-    return generated_submodule(M, rows)
 
 
 def gamma(ctx, M, shortcut=True):

@@ -9,15 +9,7 @@ exactly the hull certificate, and both have the same length.
 
 from . import linalg
 from .errors import NotASubmodule
-from .modules import (
-    FModule,
-    ModuleMap,
-    Submodule,
-    hom_space,
-    regular_module,
-    socle,
-    submodule_from_spanning,
-)
+from .modules import FModule, ModuleMap, regular_module, submodule_from_spanning
 
 
 def matlis_dual(M):
@@ -29,24 +21,6 @@ def matlis_dual(M):
 def injective_cogenerator(A):
     """E = dual of the regular module, the injective hull of k."""
     return matlis_dual(regular_module(A))
-
-
-class DualityContext:
-    """Carries the algebra together with its injective cogenerator E."""
-
-    def __init__(self, algebra):
-        self.parent = algebra
-        self.E = injective_cogenerator(algebra)
-        if algebra.dim > 0 and socle(self.E).dim != 1:
-            raise NotASubmodule("dual of R fails the injective hull certificate")
-
-
-def dual_map(f):
-    """The contravariant dual of an equivariant map: the transpose."""
-    return ModuleMap(
-        matlis_dual(f.target), matlis_dual(f.source), linalg.transpose(f.matrix),
-        check=False,
-    )
 
 
 def evaluation_map(M):
@@ -74,62 +48,3 @@ def annihilator_in_dual(M, U):
         return Md.full_submodule()
     vecs = linalg.nullspace(U.basis_matrix, f)
     return submodule_from_spanning(Md, vecs)
-
-
-def find_isomorphism(M, N, rng=None, tries=200):
-    """Search Hom(M, N) for an invertible element.
-
-    Returns a ModuleMap or None.  Over Q (and large F_p) failure means
-    "no iso found by the documented search", not a proof of
-    non-isomorphism; callers that need to distinguish should inspect
-    :func:`iso_search_is_exhaustive`.
-    """
-    if M.dim != N.dim:
-        return None
-    if M.dim == 0:
-        return ModuleMap(M, N, (), check=False)
-    f = M.parent.field
-    H = hom_space(M, N)
-    for g in H.basis:
-        if g.rank() == M.dim:
-            return g
-    if H.dim >= 2:
-        p = getattr(f, "p", None)
-        if p is not None and p ** H.dim <= 4096:
-            for idx in range(1, p**H.dim):
-                coeffs = []
-                t = idx
-                for _ in range(H.dim):
-                    coeffs.append(t % p)
-                    t //= p
-                g = _combine(H, coeffs, f)
-                if linalg.rank(g, f) == M.dim:
-                    return ModuleMap(M, N, g, check=False)
-        else:
-            if rng is None:
-                from .randmod import Lcg
-
-                rng = Lcg(0)
-            for _ in range(tries):
-                coeffs = [f.of(rng.randint(5) - 2) for _ in range(H.dim)]
-                g = _combine(H, coeffs, f)
-                if linalg.rank(g, f) == M.dim:
-                    return ModuleMap(M, N, g, check=False)
-    return None
-
-
-def iso_search_is_exhaustive(M, N):
-    f = M.parent.field
-    p = getattr(f, "p", None)
-    if p is None:
-        return False
-    return p ** hom_space(M, N).dim <= 4096
-
-
-def _combine(H, coeffs, f):
-    n, m = H.target.dim, H.source.dim
-    out = linalg.zeros(n, m, f)
-    for c, g in zip(coeffs, H.basis):
-        if c != f.zero:
-            out = linalg.mat_add(out, linalg.mat_scale(c, g.matrix, f), f)
-    return out

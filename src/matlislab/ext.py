@@ -7,7 +7,6 @@ B = (A + F) / {(-c(w), w) | w in K}.
 """
 
 from . import linalg
-from .algebra import is_iso_to_regular
 from .classes import is_p_member, is_s_member
 from .duality import matlis_dual
 from .errors import MatlisLabError, NotEquivariant, ParentMismatch
@@ -44,20 +43,9 @@ def free_cover(M):
     """
     A = M.parent
     f = A.field
-    rad = radical(M)
-    lifts = []
-    current = list(rad.basis_matrix)
-    rk = linalg.rank(current, f) if current else 0
-    for j in range(M.dim):
-        e = tuple(f.one if t == j else f.zero for t in range(M.dim))
-        cand = current + [e]
-        r2 = linalg.rank(cand, f)
-        if r2 > rk:
-            lifts.append(e)
-            current = cand
-            rk = r2
-        if rk == M.dim:
-            break
+    units = linalg.identity(M.dim, f)
+    keep = linalg.extend_basis(radical(M).basis_matrix, units, f)
+    lifts = [units[j] for j in keep]
     t = len(lifts)
     R = regular_module(A)
     free, injections = direct_power(R, t)
@@ -109,17 +97,8 @@ def ext1(C, A, cover=None):
     for g in hom_space(cov.free, A).basis:
         mat = linalg.mat_mul(g.matrix, K_incl.matrix, f)
         restr_rows.append(tuple(x for row in mat for x in row))
-    current = list(restr_rows)
-    rk = linalg.rank(current, f) if current else 0
-    reps = []
-    for h in hom_ka.basis:
-        vec = tuple(x for row in h.matrix for x in row)
-        cand = current + [vec]
-        r2 = linalg.rank(cand, f)
-        if r2 > rk:
-            reps.append(h)
-            current = cand
-            rk = r2
+    vecs = [tuple(x for row in h.matrix for x in row) for h in hom_ka.basis]
+    reps = [hom_ka.basis[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
     return Ext1Space(C, A, cov, K_mod, K_incl, len(reps), reps)
 
 
@@ -266,7 +245,7 @@ def satz25_search(ctx, budget=500, mode="P", seed=0):
     theory guarantees a witness exists over the ring, but the bounded
     search may still come back SearchExhausted.
     """
-    if ctx.I.dim == 0 or is_iso_to_regular(ctx.I):
+    if ctx.I.dim == 0 or ctx.I.is_whole_ring():
         return SearchVerdict(SearchVerdict.CLOSED_TRIVIALLY, mode)
     f = ctx.algebra.field
     rng = Lcg(seed)

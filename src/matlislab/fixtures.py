@@ -72,9 +72,7 @@ class Fixture:
 
 def _term_list(field, raw, nvars, where):
     terms = []
-    if not isinstance(raw, list):
-        raise FixtureValidationError("%s: expected a term list" % where)
-    for t in raw:
+    for t in _json(raw, list, where):
         if not (isinstance(t, list) and len(t) == 3):
             raise FixtureValidationError(
                 "%s: term must be [num, den, exponents], got %r" % (where, t)
@@ -84,18 +82,25 @@ def _term_list(field, raw, nvars, where):
             raise FixtureValidationError(
                 "%s: exponent tuple %r does not have %d entries" % (where, exps, nvars)
             )
-        terms.append((field.of(num, den), tuple(exps)))
+        for e in exps:
+            _integer(e, "%s: exponent" % where, minimum=0)
+        terms.append((_fraction(field, num, den, where), tuple(exps)))
     return terms
+
+
+def _fraction(field, num, den, where):
+    _integer(num, "%s: numerator" % where)
+    if _integer(den, "%s: denominator" % where) == 0:
+        raise FixtureValidationError("%s: denominator is 0" % where)
+    return field.of(num, den)
 
 
 def _scalar(field, raw, where):
     if isinstance(raw, list):
         if len(raw) != 2:
             raise FixtureValidationError("%s: scalar must be [num, den]" % where)
-        return field.of(raw[0], raw[1])
-    if isinstance(raw, int):
-        return field.of(raw)
-    raise FixtureValidationError("%s: bad scalar %r" % (where, raw))
+        return _fraction(field, raw[0], raw[1], where)
+    return field.of(_integer(raw, "%s: scalar" % where))
 
 
 def _integer(raw, where, minimum=None):
@@ -107,16 +112,26 @@ def _integer(raw, where, minimum=None):
     return raw
 
 
+def _json(raw, kind, where):
+    """A JSON array (kind list) or object (kind dict); anything else is rejected."""
+    if not isinstance(raw, kind):
+        name = "an array" if kind is list else "an object"
+        raise FixtureValidationError("%s must be %s, got %r" % (where, name, raw))
+    return raw
+
+
 def fixture_from_dict(doc, name="<fixture>"):
     for key in ("field", "vars", "relations", "nilpotency"):
         if key not in doc:
             raise FixtureValidationError("missing fixture key %r" % key)
     field = field_from_spec(doc["field"])
-    variables = list(doc["vars"])
+    variables = _json(doc["vars"], list, "vars")
+    if not all(isinstance(v, str) for v in variables):
+        raise FixtureValidationError("vars must be a list of strings, got %r" % (variables,))
     nvars = len(variables)
     relations = [
         _term_list(field, rel, nvars, "relation %d" % i)
-        for i, rel in enumerate(doc["relations"])
+        for i, rel in enumerate(_json(doc["relations"], list, "relations"))
     ]
     for i, rel in enumerate(relations):
         for coeff, exps in rel:
@@ -132,12 +147,12 @@ def fixture_from_dict(doc, name="<fixture>"):
 
     gens = [
         algebra.element_from_terms(_term_list(field, g, nvars, "ideal generator %d" % i))
-        for i, g in enumerate(doc.get("ideal", []))
+        for i, g in enumerate(_json(doc.get("ideal", []), list, "ideal"))
     ]
     ideal = ideal_from_generators(algebra, gens)
 
     modules = {}
-    for mname, spec in doc.get("modules", {}).items():
+    for mname, spec in _json(doc.get("modules", {}), dict, "modules").items():
         modules[mname] = _build_module(algebra, field, nvars, mname, spec)
     modules.setdefault("regular", regular_module(algebra))
     modules.setdefault("k", residue_field_module(algebra))
@@ -149,7 +164,7 @@ def fixture_from_dict(doc, name="<fixture>"):
 
 def _build_module(A, field, nvars, mname, spec):
     where = "module %r" % mname
-    kind = spec.get("type")
+    kind = _json(spec, dict, where).get("type")
     if kind == "regular":
         return regular_module(A)
     if kind == "residue-field":
@@ -159,7 +174,7 @@ def _build_module(A, field, nvars, mname, spec):
     if kind == "quotient":
         gens = [
             A.element_from_terms(_term_list(field, g, nvars, where))
-            for g in spec.get("by", [])
+            for g in _json(spec.get("by", []), list, "%s: by" % where)
         ]
         R = regular_module(A)
         sub = generated_submodule(R, gens)
@@ -167,8 +182,8 @@ def _build_module(A, field, nvars, mname, spec):
     if kind == "presentation":
         rank = _integer(spec.get("rank"), "%s: rank" % where, minimum=0)
         cols = []
-        for col in spec.get("columns", []):
-            if len(col) != rank:
+        for col in _json(spec.get("columns", []), list, "%s: columns" % where):
+            if len(_json(col, list, "%s: column" % where)) != rank:
                 raise FixtureValidationError(
                     "%s: presentation column needs %d entries" % (where, rank)
                 )
@@ -180,10 +195,13 @@ def _build_module(A, field, nvars, mname, spec):
     if kind == "explicit":
         dim = _integer(spec.get("dim"), "%s: dim" % where, minimum=0)
         var_mats = {}
-        for vname, mat in spec.get("actions", {}).items():
+        for vname, mat in _json(spec.get("actions", {}), dict, "%s: actions" % where).items():
             if vname not in A.variables:
                 raise FixtureValidationError("%s: unknown variable %r" % (where, vname))
-            if len(mat) != dim or any(len(r) != dim for r in mat):
+            mat = _json(mat, list, "%s: action of %s" % (where, vname))
+            if len(mat) != dim or any(
+                len(_json(r, list, "%s: action row" % where)) != dim for r in mat
+            ):
                 raise FixtureValidationError("%s: action matrix must be %dx%d" % (where, dim, dim))
             var_mats[vname] = tuple(
                 tuple(_scalar(field, x, where) for x in row) for row in mat

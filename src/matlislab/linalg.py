@@ -1,28 +1,15 @@
 """Exact linear algebra over Q and F_p.
 
-Matrices are tuples of row tuples; vectors are tuples.  Row reduction is
-delegated to a kernel backend: the compiled ``matlislab._kernels``
-extension when available, otherwise the pure-Python
-``matlislab._kernels_py`` module.  Set ``MATLISLAB_PURE=1`` to force the
-fallback.  Both backends produce identical output.
+Matrices are tuples of row tuples; vectors are tuples.  Every row
+reduction goes through :func:`rref`, which runs one of two kernels on
+plain ints: elimination mod p over F_p, and fraction-free Gauss-Jordan
+on denominator-cleared rows over Q.
 """
 
-import os
 from fractions import Fraction
 from math import gcd
 
 from .fields import PrimeField
-from . import _kernels_py
-
-if os.environ.get("MATLISLAB_PURE") == "1":
-    _kernels = _kernels_py
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        _kernels = _kernels_py
-
-BACKEND = _kernels.BACKEND
 
 
 def rref(rows, field):
@@ -35,8 +22,7 @@ def rref(rows, field):
     if not rows or not rows[0]:
         return (), ()
     if isinstance(field, PrimeField):
-        p = field.p
-        out, pivots = _kernels.rref_fp([[v % p for v in r] for r in rows], p)
+        out, pivots = _rref_fp(rows, field.p)
         return tuple(tuple(r) for r in out), tuple(pivots)
     # entries are Fractions or ints; both carry numerator/denominator, so
     # clearing denominators needs no Fraction arithmetic
@@ -51,13 +37,136 @@ def rref(rows, field):
             int_rows.append([v.numerator for v in r])
         else:
             int_rows.append([v.numerator * (den // v.denominator) for v in r])
-    out, pivots = _kernels.rref_int(int_rows)
+    out, pivots = _rref_int(int_rows)
     zero = field.zero
     frows = []
     for i, row in enumerate(out):
         piv = row[pivots[i]]
         frows.append(tuple(Fraction(v, piv) if v else zero for v in row))
     return tuple(frows), tuple(pivots)
+
+
+def _rref_fp(rows, p):
+    """Reduced row echelon form over F_p of a nonempty list of int rows.
+
+    Entries may be any representatives mod p.  Returns ``(rows, pivots)``
+    with zero rows dropped, pivot entries equal to 1 and entries in
+    ``range(p)``.
+    """
+    m = [[v % p for v in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        row_r = m[r]
+        inv = pow(row_r[c], p - 2, p)
+        if inv != 1:
+            for k in range(c, ncols):
+                row_r[k] = (row_r[k] * inv) % p
+        for i in range(nrows):
+            if i == r:
+                continue
+            a = m[i][c]
+            if a:
+                row_i = m[i]
+                for k in range(c, ncols):
+                    row_i[k] = (row_i[k] - a * row_r[k]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def _row_gcd(row):
+    g = 0
+    for v in row:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return 1
+    return g
+
+
+def _rref_int(m):
+    """Fraction-free Gauss-Jordan on a nonempty list of int-list rows.
+
+    Works in place on ``m``.  Returns ``(rows, pivots)`` where each
+    surviving row is primitive (content 1) with a positive pivot entry
+    and zeros elsewhere in every pivot column.  Dividing each row by its
+    pivot yields the reduced row echelon form over Q.
+    """
+    nrows = len(m)
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        row_r = m[r]
+        piv = row_r[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            a = m[i][c]
+            if a:
+                row_i = m[i]
+                for k in range(ncols):
+                    row_i[k] = piv * row_i[k] - a * row_r[k]
+                g = _row_gcd(row_i)
+                if g > 1:
+                    for k in range(ncols):
+                        row_i[k] //= g
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for i in range(r):
+        row = m[i]
+        g = _row_gcd(row)
+        if row[pivots[i]] < 0:
+            g = -g
+        if g != 1:
+            row = [v // g for v in row]
+        out.append(row)
+    return out, pivots
+
+
+def extend_basis(rows, candidates, field):
+    """Indices of the candidates kept by a left-to-right greedy pass.
+
+    A candidate is kept when it lies outside the span of ``rows`` and of
+    the candidates kept before it; each one is reduced against the
+    current RREF rather than re-ranking the growing stack.
+    """
+    red, pivots = rref(rows, field)
+    ncols = len(candidates[0]) if candidates else 0
+    kept = []
+    for i, cand in enumerate(candidates):
+        if len(pivots) == ncols:
+            break
+        if any(reduce_vector(red, pivots, cand, field)):
+            kept.append(i)
+            red, pivots = rref(red + (tuple(cand),), field)
+    return kept
 
 
 def reduce_vector(rref_rows, pivots, vec, field):
@@ -129,11 +238,14 @@ def mat_mul(a, b, field):
 
 
 def mat_vec(a, v, field):
+    # walking only the nonzero entries of v keeps the terms and their order
+    terms = [(k, y) for k, y in enumerate(v) if y]
     out = []
     for row in a:
         s = field.zero
-        for x, y in zip(row, v):
-            if x and y:
+        for k, y in terms:
+            x = row[k]
+            if x:
                 s = field.add(s, field.mul(x, y))
         out.append(s)
     return tuple(out)
@@ -141,10 +253,6 @@ def mat_vec(a, v, field):
 
 def mat_add(a, b, field):
     return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b, field):
-    return tuple(tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c, a, field):

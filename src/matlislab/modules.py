@@ -10,7 +10,7 @@ action; equality of submodules is representation equality.
 """
 
 from . import linalg
-from .algebra import Ideal, ideal_product
+from .algebra import Ideal, minimal_generators, unit_ideal
 from .errors import (
     NotASubmodule,
     NotEquivariant,
@@ -262,30 +262,32 @@ def _require_same_parent(a, b):
         raise ParentMismatch("operands live over different algebras")
 
 
-def ideal_times_module(I, M):
-    """The submodule I*M."""
+def ideal_times_submodule(I, U):
+    """The submodule I*U inside the ambient of U."""
+    M = U.ambient
     if I.parent is not M.parent:
         raise ParentMismatch("ideal and module over different algebras")
     f = M.parent.field
-    from .algebra import minimal_generators
-
     rows = []
     for g in minimal_generators(I):
         act = M.action_of(g)
-        for j in range(M.dim):
-            rows.append(tuple(act[i][j] for i in range(M.dim)))
+        for v in U.basis_matrix:
+            rows.append(linalg.mat_vec(act, v, f))
     sub = submodule_from_spanning(M, rows)
-    # I*M is action closed, but the generator images alone are not:
+    # I*U is action closed, but the generator images alone are not:
     # close up under the action
     return generated_submodule(M, sub.basis_matrix)
+
+
+def ideal_times_module(I, M):
+    """The submodule I*M."""
+    return ideal_times_submodule(I, M.full_submodule())
 
 
 def annihilator_submodule(M, a):
     """M[a] = {v in M | a v = 0}."""
     if a.parent is not M.parent:
         raise ParentMismatch("ideal and module over different algebras")
-    from .algebra import minimal_generators
-
     gens = minimal_generators(a)
     if not gens:
         return M.full_submodule()
@@ -298,8 +300,6 @@ def colon_submodule(N, I, M):
     """(N :_M I) = {v | g v in N for every generator g of I}."""
     if N.ambient != M:
         raise NotASubmodule("colon needs N to be a submodule of M")
-    from .algebra import minimal_generators
-
     f = M.parent.field
     gens = minimal_generators(I)
     if not gens:
@@ -320,8 +320,6 @@ def ann_ring(M):
     A = M.parent
     f = A.field
     if M.dim == 0:
-        from .algebra import unit_ideal
-
         return unit_ideal(A)
     rows = []
     for s in range(M.dim):
@@ -522,10 +520,9 @@ def uniserial_chain(M):
     generates M_i by Nakayama.
     """
     chain = [M.full_submodule()]
-    current = M
     current_sub = chain[0]
     while current_sub.dim > 0:
-        nxt = _radical_of_submodule(M, current_sub)
+        nxt = ideal_times_submodule(M.parent.max_ideal, current_sub)
         if current_sub.dim - nxt.dim != 1:
             raise NotUniserial(
                 "layer of dimension %d" % (current_sub.dim - nxt.dim)
@@ -533,18 +530,6 @@ def uniserial_chain(M):
         chain.append(nxt)
         current_sub = nxt
     return chain
-
-
-def _radical_of_submodule(M, U):
-    """m * U inside the ambient M."""
-    from .algebra import minimal_generators
-
-    rows = []
-    for g in minimal_generators(M.parent.max_ideal):
-        act = M.action_of(g)
-        for v in U.basis_matrix:
-            rows.append(linalg.mat_vec(act, v, M.parent.field))
-    return generated_submodule(M, rows)
 
 
 def submodule_as_module(U):

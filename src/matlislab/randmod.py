@@ -35,10 +35,6 @@ class Lcg:
             raise ValueError("randint needs n >= 1")
         return self._step() % n
 
-    def fork(self):
-        """An independent child generator, deterministically derived."""
-        return Lcg(self._step())
-
 
 def random_scalar(field, rng, spread=2):
     """A small scalar: integers in [-spread, spread] over Q, residues over F_p."""

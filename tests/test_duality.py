@@ -1,15 +1,12 @@
+from isosearch import find_isomorphism
 from matlislab.duality import (
-    DualityContext,
     annihilator_in_dual,
-    dual_map,
     evaluation_map,
-    find_isomorphism,
     injective_cogenerator,
     matlis_dual,
 )
 from matlislab.modules import (
     generated_submodule,
-    hom_space,
     quotient_module,
     regular_module,
     residue_field_module,
@@ -24,7 +21,6 @@ def test_cogenerator_certificate(r3, kxy, v2, r4):
         E = injective_cogenerator(fx.algebra)
         assert E.dim == fx.algebra.dim
         assert socle(E).dim == 1
-        DualityContext(fx.algebra)  # raises if the certificate fails
 
 
 def test_dual_preserves_dimension(r3):
@@ -47,16 +43,6 @@ def test_dual_swaps_socle_and_top(r3):
     E = matlis_dual(R)
     # dim of the socle of E = dim of the top of R
     assert socle(E).dim == R.dim - radical(R).dim
-
-
-def test_dual_map_transposes(r3):
-    A = r3.algebra
-    R = regular_module(A)
-    k = residue_field_module(A)
-    f = hom_space(R, k).basis[0]
-    fd = dual_map(f)
-    assert fd.source.dim == 1 and fd.target.dim == 3
-    assert fd.is_injective() == f.is_surjective()
 
 
 def test_annihilator_in_dual_complements(r3):

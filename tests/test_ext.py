@@ -1,7 +1,7 @@
 import pytest
 
+from isosearch import find_isomorphism
 from matlislab.classes import is_p_member, is_s_member
-from matlislab.duality import find_isomorphism
 from matlislab.errors import NotEquivariant
 from matlislab.ext import (
     SearchVerdict,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from matlislab.cli import main
 from matlislab.errors import (
     FixtureParseError,
     FixtureValidationError,
@@ -86,6 +87,33 @@ def test_missing_key():
 def test_bad_integer_fields_rejected(changes):
     with pytest.raises(FixtureValidationError):
         fixture_from_dict(dict(R3_DOC, **changes))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"modules": {"M": "regular"}},
+        {"modules": ["regular"]},
+        {"relations": [[[1, 0, [3]]]]},
+        {"ideal": [[[1, 0, [1]]]]},
+        {"relations": [[["1", 1, [3]]]]},
+        {"relations": [[[1, 1.5, [3]]]]},
+        {"relations": [[[1, 1, [3.0]]]]},
+        {"ideal": [[[1, 1, [-1]]]]},
+        {"modules": {"M": {"type": "explicit", "dim": 1, "actions": {"x": [[[0, 0]]]}}}},
+        {"modules": {"M": {"type": "explicit", "dim": 1, "actions": {"x": [[[1, "2"]]]}}}},
+        {"modules": {"M": {"type": "quotient", "by": [[[1, "one", [2]]]]}}},
+        {"vars": "x"},
+        {"vars": [1]},
+    ],
+)
+def test_malformed_input_is_validation_error(tmp_path, changes):
+    doc = dict(R3_DOC, **changes)
+    with pytest.raises(FixtureValidationError):
+        fixture_from_dict(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["ring", "check", "--fixture", str(p)]) == 2
 
 
 def test_unknown_module_type():

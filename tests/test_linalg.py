@@ -2,18 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from matlislab import _kernels_py
 from matlislab.fields import PrimeField, QQ
 from matlislab import linalg
 
-try:
-    from matlislab import _kernels
-
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
-
 F5 = PrimeField(5)
+F101 = PrimeField(101)
 
 
 def F(n, d=1):
@@ -79,6 +72,12 @@ def test_rref_mod_p():
     assert red[0][0] == 1 and red[1][2] == 1
 
 
+def test_rref_mod_p_reduces_representatives():
+    # the pivot is already 1, so only the initial reduction mod p touches
+    # the other entries
+    assert linalg.rref([(1, -1, 7)], F5) == (((1, 4, 2),), (0,))
+
+
 def test_rref_mod_p_dependent_rows():
     # (2,4,1) = 2*(1,2,3) over F5, so the rank drops to 1
     red, pivots = linalg.rref([(1, 2, 3), (2, 4, 1)], F5)
@@ -130,27 +129,71 @@ def _random_rows(nrows, ncols, mod, seed):
     return tuple(out)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_backends_agree_mod_p():
-    for seed in range(5):
-        rows = _random_rows(12, 17, 5, seed + 1)
-        rows_fp = tuple(tuple(x % 5 for x in r) for r in rows)
-        assert _kernels.rref_fp(rows_fp, 5) == _kernels_py.rref_fp(rows_fp, 5)
+def _rref_mod_p(rows, p):
+    """Textbook Gauss-Jordan mod p, the reference for rref over F_p."""
+    m = [[x % p for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                a = m[i][c]
+                m[i] = [(x - a * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_backends_agree_integer():
-    for seed in range(5):
-        rows = _random_rows(10, 14, 9, seed + 11)
-        assert _kernels.rref_int(rows) == _kernels_py.rref_int(rows)
+@pytest.mark.parametrize("shape", [(12, 17), (10, 14), (17, 6), (6, 6)])
+def test_rref_random_rows_match_references(shape):
+    nrows, ncols = shape
+    for seed in range(1, 6):
+        rows = _random_rows(nrows, ncols, 9, seed)
+        # a repeated combination keeps some reductions rank deficient
+        rows += (tuple(2 * a - b for a, b in zip(rows[0], rows[1])),)
+        assert linalg.rref(rows, QQ) == _rref_by_fractions(rows)
+        for field in (F5, F101):
+            assert linalg.rref(rows, field) == _rref_mod_p(rows, field.p)
 
 
-def test_pure_env_forces_fallback(monkeypatch):
-    import importlib
-    import matlislab.linalg as lin
+def _extend_basis_by_rank(rows, candidates, field):
+    """The greedy loop extend_basis replaces: keep what raises the rank."""
+    current = list(rows)
+    rk = linalg.rank(current, field) if current else 0
+    kept = []
+    for i, cand in enumerate(candidates):
+        r2 = linalg.rank(current + [cand], field)
+        if r2 > rk:
+            kept.append(i)
+            current.append(cand)
+            rk = r2
+    return kept
 
-    monkeypatch.setenv("MATLISLAB_PURE", "1")
-    mod = importlib.reload(lin)
-    assert mod.BACKEND == "python"
-    monkeypatch.delenv("MATLISLAB_PURE")
-    importlib.reload(lin)
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_extend_basis_matches_rank_loop(field):
+    for seed in range(1, 8):
+        rows = _random_rows(3, 7, 3, seed)
+        cands = _random_rows(9, 7, 3, seed + 100)
+        cands = tuple(tuple(field.of(x) for x in r) for r in cands)
+        rows = tuple(tuple(field.of(x) for x in r) for r in rows)
+        # dependent candidates: a row of rows, and the sum of two candidates
+        cands += (rows[1], tuple(field.add(a, b) for a, b in zip(cands[0], cands[1])))
+        assert linalg.extend_basis(rows, cands, field) == _extend_basis_by_rank(
+            rows, cands, field
+        )
+
+
+def test_extend_basis_empty_rows_and_dependent_candidates():
+    e = linalg.identity(3, QQ)
+    cands = (e[0], e[0], (F(2), F(0), F(0)), e[2], (F(1), F(0), F(-1)), e[1])
+    assert linalg.extend_basis((), cands, QQ) == [0, 3, 5]
+    assert linalg.extend_basis(e, cands, QQ) == []
+    assert linalg.extend_basis((e[0], e[2]), cands, QQ) == [5]
+    assert linalg.extend_basis((), (), QQ) == []

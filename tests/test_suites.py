@@ -2,7 +2,9 @@ import hashlib
 
 import pytest
 
+from matlislab import classes, suites
 from matlislab.errors import MatlisLabError
+from matlislab.modules import annihilator_submodule, ideal_times_module
 from matlislab.report import CheckRecord, Report, check
 from matlislab.suites import SUITES, run_suite
 
@@ -79,3 +81,35 @@ def test_default_report_bytes_pinned(name):
 def test_negative_trials_or_budget_rejected(r3, kwargs):
     with pytest.raises(MatlisLabError):
         run_suite(r3, "lemma11", **kwargs)
+
+
+def test_unknown_suite_rejected(r3):
+    with pytest.raises(MatlisLabError):
+        run_suite(r3, "lemma1")
+
+
+# each fault replaces the functor by one of its bounds, which differ from
+# it on the shipped fixtures; the suites listed must notice (lemma11
+# catches neither fault, so it is not listed)
+FAULTS = {
+    "gamma": (
+        lambda ctx, M, shortcut=True: ideal_times_module(ctx.I, M),
+        ("satz22", "satz35", "folg36"),
+    ),
+    "kappa": (
+        lambda ctx, M, shortcut=True: annihilator_submodule(M, ctx.I),
+        ("satz35", "folg36"),
+    ),
+}
+
+
+@pytest.mark.parametrize("functor", sorted(FAULTS))
+def test_suites_catch_injected_fault(fixtures, monkeypatch, functor):
+    fault, catching = FAULTS[functor]
+    # suites calls the functor directly, the membership tests in classes too
+    for module in (classes, suites):
+        monkeypatch.setattr(module, functor, fault)
+    for fx in fixtures.values():
+        for suite in catching:
+            rep = run_suite(fx, suite, trials=3)
+            assert rep.has_fail(), (functor, fx.name, suite)
