@@ -151,13 +151,19 @@ class Algebra:
         return tuple(out)
 
     def _reduce_monomial(self, exps):
-        """Normal form of an arbitrary monomial, via repeated variable action."""
+        """Normal form of an arbitrary monomial, via repeated variable action.
+
+        Stops at the first zero product, so the work is bounded by the
+        nilpotency of the algebra and not by the size of the exponents.
+        """
         if len(exps) != len(self.variables):
             raise DimensionMismatch("exponent tuple %r" % (exps,))
         w = self.one()
         for vi, e in enumerate(exps):
             for _ in range(e):
                 w = self.multiply(self.var_elements[vi], w)
+                if not any(w):
+                    return w
         return w
 
     def __eq__(self, other):

@@ -7,7 +7,7 @@
 Fixtures are JSON files; a bare name is resolved against the directory in
 $MATLISLAB_FIXTURE_DIR (default: ./fixtures), trying the name as given and
 with a ``.json`` suffix.  Exit status: 0 = all pass, 1 = at least one FAIL,
-2 = input error.
+2 = input error, 3 = internal error (an unexpected exception).
 """
 
 import argparse
@@ -161,6 +161,10 @@ def main(argv=None):
     except MatlisLabError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except Exception as exc:
+        # a defect, not bad input; KeyboardInterrupt and SystemExit pass
+        sys.stderr.write("error: internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return 3
     return 0
 
 

@@ -134,11 +134,9 @@ def extension_from_class(ext_space, cocycle):
             raise NotEquivariant("cocycle does not descend")
     pivset = set(graph.pivots)
     free_cols = [j for j in range(D.dim) if j not in pivset]
-    sect = tuple(
-        tuple(f.one if free_cols[a] == i else f.zero for a in range(B.dim))
-        for i in range(D.dim)
-    )
-    pi = ModuleMap(B, C, linalg.mat_mul(to_c.matrix, sect, f), check=False)
+    # B's coordinate a lifts to the unit vector at free_cols[a]
+    pi_matrix = tuple(tuple(row[j] for j in free_cols) for row in to_c.matrix)
+    pi = ModuleMap(B, C, pi_matrix, check=False)
 
     if not iota.is_injective():
         raise MatlisLabError("extension inclusion not injective")

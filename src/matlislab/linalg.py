@@ -3,7 +3,9 @@
 Matrices are tuples of row tuples; vectors are tuples.  Every row
 reduction goes through :func:`rref`, which runs one of two kernels on
 plain ints: elimination mod p over F_p, and fraction-free Gauss-Jordan
-on denominator-cleared rows over Q.
+on denominator-cleared rows over Q.  The products :func:`mat_mul` and
+:func:`mat_vec` also sum plain ints, reduced mod p once per entry over
+F_p and divided by the cleared denominators once per entry over Q.
 """
 
 from fractions import Fraction
@@ -24,26 +26,30 @@ def rref(rows, field):
     if isinstance(field, PrimeField):
         out, pivots = _rref_fp(rows, field.p)
         return tuple(tuple(r) for r in out), tuple(pivots)
-    # entries are Fractions or ints; both carry numerator/denominator, so
-    # clearing denominators needs no Fraction arithmetic
-    int_rows = []
-    for r in rows:
-        den = 1
-        for v in r:
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            int_rows.append([v.numerator for v in r])
-        else:
-            int_rows.append([v.numerator * (den // v.denominator) for v in r])
-    out, pivots = _rref_int(int_rows)
+    out, pivots = _rref_int([_int_row(r)[0] for r in rows])
     zero = field.zero
     frows = []
     for i, row in enumerate(out):
         piv = row[pivots[i]]
         frows.append(tuple(Fraction(v, piv) if v else zero for v in row))
     return tuple(frows), tuple(pivots)
+
+
+def _int_row(row):
+    """``(ints, den)`` with ``row == ints / den`` and ``den`` the least
+    common denominator of a row of Fractions or ints.
+
+    Both kinds of entry carry numerator/denominator, so clearing
+    denominators needs no Fraction arithmetic.
+    """
+    den = 1
+    for v in row:
+        d = v.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [v.numerator for v in row], 1
+    return [v.numerator * (den // v.denominator) for v in row], den
 
 
 def _rref_fp(rows, p):
@@ -221,33 +227,91 @@ def zeros(m, n, field):
 def mat_mul(a, b, field):
     if not a or not b:
         return tuple(() for _ in a)
-    n = len(b)
-    cols = len(b[0])
+    if isinstance(field, PrimeField):
+        return _mat_mul_fp(a, b, field.p)
+    return _mat_mul_q(a, b, field.zero)
+
+
+def _mat_mul_fp(a, b, p):
+    # sum plain ints and reduce once per entry
+    cols = tuple(zip(*b))
     out = []
     for row in a:
+        terms = [(k, x) for k, x in enumerate(row) if x]
         orow = []
-        for j in range(cols):
-            s = field.zero
-            for k in range(n):
-                x = row[k]
-                if x:
-                    s = field.add(s, field.mul(x, b[k][j]))
-            orow.append(s)
+        for col in cols:
+            s = 0
+            for k, x in terms:
+                s += x * col[k]
+            orow.append(s % p)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def _mat_mul_q(a, b, zero):
+    # integer dot products of denominator-cleared rows of a and columns
+    # of b; one Fraction per nonzero entry
+    cols = [_int_row(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        ints, da = _int_row(row)
+        terms = [(k, x) for k, x in enumerate(ints) if x]
+        orow = []
+        for col, db in cols:
+            s = 0
+            for k, x in terms:
+                s += x * col[k]
+            orow.append(Fraction(s, da * db) if s else zero)
         out.append(tuple(orow))
     return tuple(out)
 
 
 def mat_vec(a, v, field):
-    # walking only the nonzero entries of v keeps the terms and their order
+    # only the nonzero entries of v contribute; most vectors have one or two
     terms = [(k, y) for k, y in enumerate(v) if y]
+    if isinstance(field, PrimeField):
+        return _mat_vec_fp(a, terms, field.p)
+    return _mat_vec_q(a, terms, field.zero)
+
+
+def _mat_vec_fp(a, terms, p):
+    # an explicit loop: sum() over a generator costs more at 1-2 terms
     out = []
     for row in a:
-        s = field.zero
+        s = 0
+        for k, y in terms:
+            s += row[k] * y
+        out.append(s % p)
+    return tuple(out)
+
+
+def _mat_vec_q(a, terms, zero):
+    if len(terms) == 1:
+        # a column of a, scaled; int entries still come out as Fractions
+        k, y = terms[0]
+        col = [row[k] for row in a]
+        if y == 1:
+            return tuple([x if type(x) is Fraction else zero + x for x in col])
+        if type(y) is not Fraction:
+            y = Fraction(y)
+        return tuple([x * y if x else zero for x in col])
+    ys, dv = _int_row([y for _, y in terms])
+    terms = [(k, y) for (k, _), y in zip(terms, ys)]
+    out = []
+    for row in a:
+        # the running sum is num/den, over the denominators met so far
+        num = 0
+        den = 1
         for k, y in terms:
             x = row[k]
             if x:
-                s = field.add(s, field.mul(x, y))
-        out.append(s)
+                d = x.denominator
+                if d == den:
+                    num += x.numerator * y
+                else:
+                    num = num * d + x.numerator * y * den
+                    den *= d
+        out.append(Fraction(num, den * dv) if num else zero)
     return tuple(out)
 
 

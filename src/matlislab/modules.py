@@ -348,9 +348,13 @@ def hom_space(M, N):
             for c in range(dm):
                 row = [f.zero] * (dn * dm)
                 for j in range(dm):
-                    row[a * dm + j] = f.add(row[a * dm + j], ga[j][c])
+                    row[a * dm + j] = ga[j][c]
                 for i in range(dn):
-                    row[i * dm + c] = f.sub(row[i * dm + c], gb[a][i])
+                    x = gb[a][i]
+                    if x:
+                        row[i * dm + c] = f.neg(x)
+                # the one unknown in both sums: X[a][c]
+                row[a * dm + c] = f.sub(ga[c][c], gb[a][a])
                 rows.append(tuple(row))
     sols = linalg.nullspace(rows, f)
     basis = []
@@ -379,14 +383,12 @@ def quotient_module(M, U):
     proj = tuple(
         tuple(reduced[j][free[a]] for j in range(M.dim)) for a in range(qdim)
     )
-    # section: quotient coordinate a -> unit vector at free column a
-    sect = tuple(
-        tuple(f.one if free[a] == i else f.zero for a in range(qdim))
-        for i in range(M.dim)
-    )
+    # lifting quotient coordinate a to the unit vector at free[a] picks
+    # out the free columns of each action
     actions = []
     for act in M.actions:
-        actions.append(linalg.mat_mul(proj, linalg.mat_mul(act, sect, f), f))
+        lifted = tuple(tuple(row[j] for j in free) for row in act)
+        actions.append(linalg.mat_mul(proj, lifted, f))
     Q = FModule(M.parent, actions, check=False)
     return Q, ModuleMap(M, Q, proj, check=False)
 
@@ -539,18 +541,11 @@ def submodule_as_module(U):
     """
     M = U.ambient
     f = M.parent.field
-    k = U.dim
-    incl = linalg.transpose(U.basis_matrix)  # M.dim x k
+    incl = linalg.transpose(U.basis_matrix)  # M.dim x U.dim
     actions = []
     for act in M.actions:
-        rows = []
-        for p in U.pivots:
-            rows.append(
-                tuple(
-                    linalg.mat_vec(act, U.basis_matrix[j], f)[p] for j in range(k)
-                )
-            )
-        actions.append(tuple(rows))
+        images = [linalg.mat_vec(act, b, f) for b in U.basis_matrix]
+        actions.append(tuple(tuple(img[p] for img in images) for p in U.pivots))
     Umod = FModule(M.parent, actions, check=False)
     return Umod, ModuleMap(Umod, M, incl, check=False)
 

@@ -123,3 +123,24 @@ def test_compute_out_file(tmp_path):
     )
     assert rc == 0
     assert out.read_text() == "kappa = span{[0, 0, 1]}\n"
+
+
+def test_unexpected_exception_is_exit_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("matlislab.cli.run_suite", broken)
+    assert main(["verify", "lemma11", "--fixture", fix("R3")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_are_not_caught(monkeypatch, exc):
+    def interrupted(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr("matlislab.cli.run_suite", interrupted)
+    with pytest.raises(exc):
+        main(["verify", "lemma11", "--fixture", fix("R3")])

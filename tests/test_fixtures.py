@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,19 @@ def test_malformed_input_is_validation_error(tmp_path, changes):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     assert main(["ring", "check", "--fixture", str(p)]) == 2
+
+
+def test_huge_exponent_reduces_without_iterating():
+    # x^(10^9) is zero in k[x]/(x^3); reaching that must not take 10^9 steps
+    huge = [[1, 1, [10**9]]]
+    doc = dict(R3_DOC, ideal=[huge, [[1, 1, [2]]]],
+               modules={"M": {"type": "quotient", "by": [huge]}})
+    t0 = time.perf_counter()
+    fx = fixture_from_dict(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert format_ideal(fx.ideal) == "(x^2)"
+    assert fx.ideal.basis_matrix == ((0, 0, 1),)
+    assert fx.module("M").dim == 3
 
 
 def test_unknown_module_type():

@@ -197,3 +197,82 @@ def test_extend_basis_empty_rows_and_dependent_candidates():
     assert linalg.extend_basis(e, cands, QQ) == []
     assert linalg.extend_basis((e[0], e[2]), cands, QQ) == [5]
     assert linalg.extend_basis((), (), QQ) == []
+
+
+def _dot_ref(row, col, field):
+    """Textbook dot product: Fraction sums over Q, one reduction mod p."""
+    if field is QQ:
+        return sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
+    return sum(x * y for x, y in zip(row, col)) % field.p
+
+
+def _mat_mul_ref(a, b, field):
+    cols = [tuple(r[j] for r in b) for j in range(len(b[0]) if b else 0)]
+    return tuple(tuple(_dot_ref(row, col, field) for col in cols) for row in a)
+
+
+def _mat_vec_ref(a, v, field):
+    return tuple(_dot_ref(row, v, field) for row in a)
+
+
+def _assert_same(got, want):
+    """Equal matrices with equal scalar types, entry by entry."""
+    assert got == want
+    assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
+
+
+P_BIG, Q_BIG = 1_000_000_007, 998_244_353  # coprime
+
+
+def _mixed(rows):
+    """Ints and Fractions with large coprime denominators, side by side."""
+    dens = (1, P_BIG, Q_BIG, 7, P_BIG * Q_BIG)
+    out = []
+    for i, row in enumerate(rows):
+        out.append(tuple(
+            x if (i + j) % 3 == 0 else F(x, dens[(i * 5 + j) % len(dens)])
+            for j, x in enumerate(row)
+        ))
+    return tuple(out)
+
+
+def _product_cases(field):
+    """(a, b) pairs: random, with zero rows and columns, and empty shapes."""
+    cases = []
+    for seed in range(1, 5):
+        a = _random_rows(5, 6, 9, seed)
+        b = _random_rows(6, 4, 9, seed + 50)
+        a = a[:2] + ((0,) * 6,) + a[3:]  # a zero row
+        b = tuple(row[:1] + (0,) + row[2:] for row in b)  # a zero column
+        if field is QQ:
+            a, b = _mixed(a), _mixed(b)
+        else:
+            a = tuple(tuple(x % field.p for x in r) for r in a)
+            b = tuple(tuple(x % field.p for x in r) for r in b)
+        cases.append((a, b))
+    cases += [((), ()), (((), ()), ()), (((1, 2),), ((), ())), ((), ((1, 2),))]
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F101])
+def test_mat_mul_matches_reference(field):
+    for a, b in _product_cases(field):
+        _assert_same(linalg.mat_mul(a, b, field), _mat_mul_ref(a, b, field))
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F101])
+def test_mat_vec_matches_reference(field):
+    one = field.one
+    for a, b in _product_cases(field):
+        n = len(a[0]) if a else 0
+        vecs = [tuple(r[0] for r in b) if b and b[0] else (field.zero,) * n]
+        vecs.append((field.zero,) * n)
+        for k in range(n):
+            unit = tuple(one if j == k else field.zero for j in range(n))
+            vecs.append(unit)
+            vecs.append(tuple(1 if j == k else 0 for j in range(n)))  # int entries
+            # scaled unit vectors, by a Fraction and by an int over Q
+            for c in (F(P_BIG, Q_BIG), -2) if field is QQ else (3, field.p - 1):
+                vecs.append(tuple(c if j == k else field.zero for j in range(n)))
+        for v in vecs:
+            _assert_same([linalg.mat_vec(a, v, field)], [_mat_vec_ref(a, v, field)])

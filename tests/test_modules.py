@@ -5,6 +5,7 @@ import pytest
 from matlislab import linalg
 from matlislab.algebra import ideal_from_generators
 from matlislab.errors import NotEquivariant, NotUniserial
+from matlislab.randmod import Lcg, random_module, random_submodule
 from matlislab.modules import (
     ModuleMap,
     ann_ring,
@@ -204,3 +205,38 @@ def test_cokernel_of_presentation(r3):
     Q, free, sub, proj = cokernel_of_presentation(A, 1, [tuple(x2)])
     assert Q.dim == 2 and free.dim == 3 and sub.dim == 1
     assert proj.is_surjective()
+
+
+def _quotient_by_sections(M, U):
+    """proj . act . sect with an explicit 0/1 section matrix: the formula
+    quotient_module used before it picked out the free columns directly."""
+    f = M.parent.field
+    free = [j for j in range(M.dim) if j not in set(U.pivots)]
+    reduced = [
+        linalg.reduce_vector(U.basis_matrix, U.pivots, e, f)
+        for e in linalg.identity(M.dim, f)
+    ]
+    proj = tuple(tuple(reduced[j][c] for j in range(M.dim)) for c in free)
+    sect = tuple(
+        tuple(f.one if c == i else f.zero for c in free) for i in range(M.dim)
+    )
+    actions = tuple(
+        linalg.mat_mul(proj, linalg.mat_mul(act, sect, f), f) for act in M.actions
+    )
+    return actions, proj
+
+
+@pytest.mark.parametrize("name", ["KXY", "V2", "R4"])
+def test_quotient_actions_match_section_formula(fixtures, name):
+    A = fixtures[name].algebra
+    rng = Lcg(7)
+    for _ in range(6):
+        M = random_module(A, rng)
+        for U in (random_submodule(M, rng), M.zero_submodule(), M.full_submodule()):
+            Q, proj = quotient_module(M, U)
+            actions, proj_ref = _quotient_by_sections(M, U)
+            assert Q.actions == actions
+            assert proj.matrix == proj_ref
+            assert [type(x) for a in Q.actions for r in a for x in r] == [
+                type(x) for a in actions for r in a for x in r
+            ]
