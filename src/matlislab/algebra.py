@@ -415,8 +415,7 @@ def annihilator_of_ideal(I):
         cols = [linalg.mat_vec(A.left_mult[i], g, f) for i in range(A.dim)]
         for r_idx in range(A.dim):
             rows.append(tuple(cols[i][r_idx] for i in range(A.dim)))
-    sols = linalg.nullspace(rows, f)
-    return _ideal_from_rows(A, list(sols))
+    return Ideal(A, *linalg.kernel(rows, f))
 
 
 def minimal_generators(I):

@@ -74,10 +74,10 @@ def gamma(ctx, M, shortcut=True):
     the Hom computation when they coincide; verification suites compare
     both routes.
     """
-    lower = ideal_times_module(ctx.I, M)
-    upper = annihilator_submodule(M, ctx.ann_i)
-    if shortcut and lower == upper:
-        return lower
+    if shortcut:
+        lower = ideal_times_module(ctx.I, M)
+        if lower == annihilator_submodule(M, ctx.ann_i):
+            return lower
     H = hom_space(ctx.I_mod, M)
     rows = []
     for g in H.basis:
@@ -87,16 +87,15 @@ def gamma(ctx, M, shortcut=True):
 
 def kappa(ctx, M, shortcut=True):
     """The reject of I-dual in M: the smallest V with M/V in S."""
-    lower = ideal_times_module(ctx.ann_i, M)
-    upper = annihilator_submodule(M, ctx.I)
-    if shortcut and lower == upper:
-        return lower
+    if shortcut:
+        lower = ideal_times_module(ctx.ann_i, M)
+        if lower == annihilator_submodule(M, ctx.I):
+            return lower
     H = hom_space(M, ctx.I_dual)
     if not H.basis:
         return M.full_submodule()
     stacked = linalg.stack(*[g.matrix for g in H.basis])
-    f = M.parent.field
-    return submodule_from_spanning(M, linalg.nullspace(stacked, f))
+    return Submodule(M, *linalg.kernel(stacked, M.parent.field))
 
 
 def is_p_member(ctx, M, shortcut=True):
@@ -227,7 +226,7 @@ def lower_star(ctx, M, W, e):
     rows = [linalg.mat_vec(linalg.transpose(e.matrix), phi, f) for phi in funcs]
     if not rows:
         return M.full_submodule()
-    return submodule_from_spanning(M, linalg.nullspace(rows, f))
+    return Submodule(M, *linalg.kernel(rows, f))
 
 
 def upper_star(ctx, A, B):

@@ -9,7 +9,7 @@ exactly the hull certificate, and both have the same length.
 
 from . import linalg
 from .errors import NotASubmodule
-from .modules import FModule, ModuleMap, regular_module, submodule_from_spanning
+from .modules import FModule, ModuleMap, Submodule, regular_module
 
 
 def matlis_dual(M):
@@ -46,5 +46,4 @@ def annihilator_in_dual(M, U):
     Md = matlis_dual(M)
     if U.dim == 0:
         return Md.full_submodule()
-    vecs = linalg.nullspace(U.basis_matrix, f)
-    return submodule_from_spanning(Md, vecs)
+    return Submodule(Md, *linalg.kernel(U.basis_matrix, f))

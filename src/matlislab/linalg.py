@@ -1,11 +1,20 @@
 """Exact linear algebra over Q and F_p.
 
-Matrices are tuples of row tuples; vectors are tuples.  Every row
-reduction goes through :func:`rref`, which runs one of two kernels on
-plain ints: elimination mod p over F_p, and fraction-free Gauss-Jordan
-on denominator-cleared rows over Q.  The products :func:`mat_mul` and
-:func:`mat_vec` also sum plain ints, reduced mod p once per entry over
-F_p and divided by the cleared denominators once per entry over Q.
+Matrices are tuples of row tuples; vectors are tuples.  Row reduction
+runs one of two kernels on plain ints: elimination mod p over F_p, and
+fraction-free Gauss-Jordan on denominator-cleared rows over Q.  Three
+functions use them:
+
+- :func:`rref`, the reduced row echelon form of a row space;
+- :func:`nullspace`, one solution of ``rows . v = 0`` per free column;
+- :func:`kernel`, the reduced row echelon form of that solution space.
+  It equals ``rref(nullspace(rows))`` but needs one elimination, of the
+  rows with their columns reversed, instead of two.
+
+Over Q the last two read their vectors off the integer echelon form and
+make each nonzero entry a Fraction once.  The products :func:`mat_mul`
+and :func:`mat_vec` also sum plain ints, reduced mod p once per entry
+over F_p and divided by the cleared denominators once per entry over Q.
 """
 
 from fractions import Fraction
@@ -50,6 +59,14 @@ def _int_row(row):
     if den == 1:
         return [v.numerator for v in row], 1
     return [v.numerator * (den // v.denominator) for v in row], den
+
+
+def int_matrix(a):
+    """``(ints, den)`` with ``a == ints / den``, ``den`` the least common
+    denominator of all entries and ``ints`` a list of int lists."""
+    flat, den = _int_row([x for row in a for x in row])
+    n = len(a[0]) if a else 0
+    return [flat[i * n:(i + 1) * n] for i in range(len(a))], den
 
 
 def _rref_fp(rows, p):
@@ -196,22 +213,60 @@ def nullspace(rows, field):
     Deterministic: the vector for free column j has a 1 at j, the
     pivot-column entries completing it, and 0 at the other free columns.
     """
-    rows = [tuple(r) for r in rows]
-    if not rows:
+    rows = list(rows)
+    if not rows or not rows[0]:
         return ()
-    ncols = len(rows[0])
-    red, pivots = rref(rows, field)
+    basis, _ = _null_basis(rows, field)
+    return tuple(tuple(v) for v in basis)
+
+
+def kernel(rows, field):
+    """Reduced row echelon form of {v | rows . v = 0}; returns (rows, pivots).
+
+    Equal to ``rref(nullspace(rows, field), field)``, from one
+    elimination: the rows are reduced with their columns reversed.  The
+    null-space vector of a free column j then has its 1 at j, zeros at
+    the other free columns and nonzero entries only at pivot columns
+    right of j, so these vectors in column order are already the reduced
+    echelon form, with the free columns as its pivots.
+    """
+    rows = list(rows)
+    if not rows or not rows[0]:
+        return (), ()
+    n = len(rows[0])
+    basis, free = _null_basis([r[::-1] for r in rows], field)
+    return (
+        tuple(tuple(v[::-1]) for v in reversed(basis)),
+        tuple(n - 1 - j for j in reversed(free)),
+    )
+
+
+def _null_basis(rows, field):
+    """The null-space vectors (lists) of nonempty rows, and their free
+    columns, read off the kernel's echelon form: over Q the elimination
+    runs on integer rows and each nonzero entry becomes a Fraction once.
+    """
+    p = field.p if isinstance(field, PrimeField) else 0
+    if p:
+        red, pivots = _rref_fp(rows, p)
+    else:
+        red, pivots = _rref_int([_int_row(r)[0] for r in rows])
+    n = len(rows[0])
     pivset = set(pivots)
     basis = []
-    for j in range(ncols):
+    free = []
+    for j in range(n):
         if j in pivset:
             continue
-        v = [field.zero] * ncols
+        v = [field.zero] * n
         v[j] = field.one
-        for i, c in enumerate(pivots):
-            v[c] = field.neg(red[i][j])
-        basis.append(tuple(v))
-    return tuple(basis)
+        for c, row in zip(pivots, red):
+            x = row[j]
+            if x:
+                v[c] = -x % p if p else Fraction(-x, row[c])
+        basis.append(v)
+        free.append(j)
+    return basis, free
 
 
 def identity(n, field):

@@ -196,11 +196,11 @@ class ModuleMap:
         return submodule_from_spanning(self.target, linalg.transpose(self.matrix))
 
     def kernel(self):
-        f = self.source.parent.field
-        vecs = linalg.nullspace(self.matrix, f) if self.matrix and self.matrix[0] else ()
         if not self.matrix:
-            vecs = linalg.identity(self.source.dim, f)
-        return submodule_from_spanning(self.source, vecs)
+            return self.source.full_submodule()
+        return Submodule(
+            self.source, *linalg.kernel(self.matrix, self.source.parent.field)
+        )
 
     def __repr__(self):
         return "ModuleMap(%d -> %d)" % (self.source.dim, self.target.dim)
@@ -273,10 +273,9 @@ def ideal_times_submodule(I, U):
         act = M.action_of(g)
         for v in U.basis_matrix:
             rows.append(linalg.mat_vec(act, v, f))
-    sub = submodule_from_spanning(M, rows)
-    # I*U is action closed, but the generator images alone are not:
-    # close up under the action
-    return generated_submodule(M, sub.basis_matrix)
+    # the images g*U already span an action-closed space, since R is
+    # commutative and U is a submodule: r*(g*u) = g*(r*u) with r*u in U
+    return submodule_from_spanning(M, rows)
 
 
 def ideal_times_module(I, M):
@@ -293,7 +292,7 @@ def annihilator_submodule(M, a):
         return M.full_submodule()
     f = M.parent.field
     stacked = linalg.stack(*[M.action_of(g) for g in gens])
-    return submodule_from_spanning(M, linalg.nullspace(stacked, f))
+    return Submodule(M, *linalg.kernel(stacked, f))
 
 
 def colon_submodule(N, I, M):
@@ -312,7 +311,7 @@ def colon_submodule(N, I, M):
             rows.append(linalg.mat_vec(linalg.transpose(act), phi, f))
     if not rows:
         return M.full_submodule()
-    return submodule_from_spanning(M, linalg.nullspace(rows, f))
+    return Submodule(M, *linalg.kernel(rows, f))
 
 
 def ann_ring(M):
@@ -325,9 +324,7 @@ def ann_ring(M):
     for s in range(M.dim):
         for t in range(M.dim):
             rows.append(tuple(M.actions[i][s][t] for i in range(A.dim)))
-    sols = linalg.nullspace(rows, f)
-    red, pivots = linalg.rref(list(sols), f) if sols else ((), ())
-    return Ideal(A, red, pivots)
+    return Ideal(A, *linalg.kernel(rows, f))
 
 
 def hom_space(M, N):
@@ -341,21 +338,26 @@ def hom_space(M, N):
     dm, dn = M.dim, N.dim
     if dm == 0 or dn == 0:
         return HomSpace(M, N, ())
+    n = dn * dm
     rows = []
     for ga, gb in zip(M.generator_actions(), N.generator_actions()):
-        # X ga - gb X = 0, unknowns X[a][j] vectorized row-major
+        # X ga - gb X = 0, unknowns X[a][j] vectorized row-major; with
+        # ga = gaI/da and gb = gbI/db each equation is scaled by da*db,
+        # so every entry is an int
+        gaI, da = linalg.int_matrix(ga)
+        gbI, db = linalg.int_matrix(gb)
+        ga_cols = [[db * row[c] for row in gaI] for c in range(dm)]
         for a in range(dn):
+            gb_terms = [(i * dm, -da * x) for i, x in enumerate(gbI[a]) if x]
+            lo = a * dm
             for c in range(dm):
-                row = [f.zero] * (dn * dm)
-                for j in range(dm):
-                    row[a * dm + j] = ga[j][c]
-                for i in range(dn):
-                    x = gb[a][i]
-                    if x:
-                        row[i * dm + c] = f.neg(x)
+                row = [0] * n
+                row[lo:lo + dm] = ga_cols[c]
+                for i, x in gb_terms:
+                    row[i + c] = x
                 # the one unknown in both sums: X[a][c]
-                row[a * dm + c] = f.sub(ga[c][c], gb[a][a])
-                rows.append(tuple(row))
+                row[lo + c] = ga_cols[c][c] - da * gbI[a][a]
+                rows.append(row)
     sols = linalg.nullspace(rows, f)
     basis = []
     for s in sols:
@@ -374,15 +376,18 @@ def quotient_module(M, U):
     f = M.parent.field
     pivset = set(U.pivots)
     free = [j for j in range(M.dim) if j not in pivset]
-    qdim = len(free)
-    # projection: v -> normal form of v modulo U, restricted to free columns
-    reduced = []
-    for j in range(M.dim):
-        e = tuple(f.one if t == j else f.zero for t in range(M.dim))
-        reduced.append(linalg.reduce_vector(U.basis_matrix, U.pivots, e, f))
-    proj = tuple(
-        tuple(reduced[j][free[a]] for j in range(M.dim)) for a in range(qdim)
-    )
+    # projection: v -> normal form of v modulo U, restricted to free
+    # columns.  Column j of proj is the unit vector of j when j is free
+    # and minus the free entries of U's echelon row i when j is its
+    # pivot column c_i.
+    proj = []
+    for j in free:
+        row = [f.zero] * M.dim
+        row[j] = f.one
+        for b, c in zip(U.basis_matrix, U.pivots):
+            row[c] = f.neg(b[j])
+        proj.append(tuple(row))
+    proj = tuple(proj)
     # lifting quotient coordinate a to the unit vector at free[a] picks
     # out the free columns of each action
     actions = []
@@ -510,7 +515,7 @@ def submodule_intersection(U, V):
     rows = list(fu) + list(fv)
     if not rows:
         return M.full_submodule()
-    return submodule_from_spanning(M, linalg.nullspace(rows, f))
+    return Submodule(M, *linalg.kernel(rows, f))
 
 
 def uniserial_chain(M):

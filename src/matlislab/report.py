@@ -5,16 +5,22 @@ A FAIL record always carries a replayable witness (the serialized data
 that exhibits the failure).  Reports render deterministically.
 """
 
+from .errors import MatlisLabError
+
 PASS = "PASS"
 FAIL = "FAIL"
 
 
 class CheckRecord:
+    """One check; a FAIL without a witness is refused."""
+
     def __init__(self, name, fixture, status, witness="-"):
         self.name = name
         self.fixture = fixture
         self.status = status
         self.witness = witness if witness else "-"
+        if status == FAIL and self.witness.strip() in ("", "-"):
+            raise MatlisLabError("FAIL record %s on %s has no witness" % (name, fixture))
 
     def render(self):
         return "CHECK %s %s %s %s" % (self.name, self.fixture, self.status, self.witness)

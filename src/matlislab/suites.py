@@ -44,7 +44,7 @@ from .modules import (
     zero_module,
 )
 from .randmod import Lcg, random_ideal, random_module, random_submodule
-from .report import CheckRecord, PASS, Report, check
+from .report import FAIL, PASS, CheckRecord, Report, check
 
 
 def _rand_p_member(ctx, rng):
@@ -129,7 +129,7 @@ def suite_satz22(fx, trials, rng, budget):
     else:
         w = submodule_counterexample(ctx)
         ok = w is not None and w.verified()
-        witness = "-"
+        witness = "criterion-false branch: no counterexample built (dim I=%d)" % ctx.I.dim
         if w is not None:
             gens = ", ".join(
                 format_element(A, g) for g in minimal_generators(ctx.I)
@@ -139,7 +139,7 @@ def suite_satz22(fx, trials, rng, budget):
                 "P(ambient)=%s P(sub)=%s"
                 % (gens, w.submodule.dim, w.ambient.dim, w.ambient_is_p, w.submodule_is_p)
             )
-        records.append(CheckRecord("satz22-counterexample", fx.name, PASS if ok else "FAIL", witness))
+        records.append(CheckRecord("satz22-counterexample", fx.name, PASS if ok else FAIL, witness))
         if w is not None:
             ann_ok = ideal_times_module(ctx.ann_i, w.submodule_module).dim == 0
             records.append(
@@ -182,7 +182,7 @@ def suite_satz25(fx, trials, rng, budget):
             )
         else:
             witness = "%s (tested=%d)" % (verdict.kind, verdict.tested)
-        records.append(CheckRecord("satz25-%s" % mode, fx.name, PASS if ok else "FAIL", witness))
+        records.append(CheckRecord("satz25-%s" % mode, fx.name, PASS if ok else FAIL, witness))
     return records
 
 
@@ -422,13 +422,21 @@ def suite_closure(fx, trials, rng, budget):
     # degenerate identity: I = R acting on the zero module
     ctx_r = ClassContext(fx.algebra, unit_ideal(fx.algebra))
     Z = zero_module(fx.algebra)
-    ok = (
-        gamma(ctx_r, Z).dim == 0
-        and kappa(ctx_r, Z).dim == 0
-        and ideal_times_module(ctx_r.I, Z).dim == 0
-        and annihilator_submodule(Z, ctx_r.I).dim == 0
+    dims = [
+        ("gamma", gamma(ctx_r, Z).dim),
+        ("kappa", kappa(ctx_r, Z).dim),
+        ("I.Z", ideal_times_module(ctx_r.I, Z).dim),
+        ("Z[I]", annihilator_submodule(Z, ctx_r.I).dim),
+    ]
+    bad = ", ".join("dim %s=%d" % (n, d) for n, d in dims if d)
+    records.append(
+        check(
+            "closure-degenerate-identity",
+            fx.name,
+            not bad,
+            "nonzero on the zero module: %s" % bad,
+        )
     )
-    records.append(check("closure-degenerate-identity", fx.name, ok))
     return records
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from matlislab import classes
 from matlislab.algebra import ideal_from_generators, unit_ideal, zero_ideal
 from matlislab.classes import (
     ClassContext,
@@ -53,6 +54,24 @@ def test_shortcut_equals_full_computation(kxy):
         M = random_module(kxy.algebra, rng)
         assert gamma(kxy.ctx, M, shortcut=True) == gamma(kxy.ctx, M, shortcut=False)
         assert kappa(kxy.ctx, M, shortcut=True) == kappa(kxy.ctx, M, shortcut=False)
+
+
+def test_full_route_computes_no_bounds(kxy, monkeypatch):
+    rng = Lcg(22)
+    mods = [random_module(kxy.algebra, rng) for _ in range(6)] + [kxy.module("E")]
+    want = [(gamma(kxy.ctx, M, shortcut=False), kappa(kxy.ctx, M, shortcut=False))
+            for M in mods]
+
+    def bound(*args):
+        raise AssertionError("bound computed on the full route")
+
+    monkeypatch.setattr(classes, "ideal_times_module", bound)
+    monkeypatch.setattr(classes, "annihilator_submodule", bound)
+    for M, (g, k) in zip(mods, want):
+        assert gamma(kxy.ctx, M, shortcut=False) == g
+        assert kappa(kxy.ctx, M, shortcut=False) == k
+    with pytest.raises(AssertionError):
+        gamma(kxy.ctx, mods[0])
 
 
 def test_degenerate_ideals(r3):

@@ -276,3 +276,51 @@ def test_mat_vec_matches_reference(field):
                 vecs.append(tuple(c if j == k else field.zero for j in range(n)))
         for v in vecs:
             _assert_same([linalg.mat_vec(a, v, field)], [_mat_vec_ref(a, v, field)])
+
+
+def _nullspace_ref(rows, field):
+    """One vector per free column of a textbook reduced echelon form."""
+    red, pivots = _rref_by_fractions(rows) if field is QQ else _rref_mod_p(rows, field.p)
+    basis = []
+    for j in range(len(rows[0])):
+        if j in pivots:
+            continue
+        v = [field.zero] * len(rows[0])
+        v[j] = field.one
+        for row, c in zip(red, pivots):
+            v[c] = field.neg(row[j])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _kernel_cases(field):
+    """Random rows, rank deficient and of full rank, zero rows, zero width."""
+    cases = []
+    for seed in range(1, 5):
+        for nrows, ncols in ((4, 7), (7, 4), (5, 5), (2, 9)):
+            rows = _random_rows(nrows, ncols, 9, seed)
+            rows += (tuple(2 * a - b for a, b in zip(rows[0], rows[1])),)
+            cases.append(_mixed(rows) if field is QQ else rows)
+    cases += [
+        ((0,) * 4, (0,) * 4),
+        tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)),
+        ((0, 3, 0, 1), (0, 0, 0, 2)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F101])
+def test_kernel_matches_rref_of_nullspace(field):
+    for rows in _kernel_cases(field):
+        ns = linalg.nullspace(rows, field)
+        _assert_same(ns, _nullspace_ref(rows, field))
+        red, pivots = linalg.kernel(rows, field)
+        want_red, want_pivots = linalg.rref(ns, field)
+        _assert_same(red, want_red)
+        assert pivots == want_pivots
+        assert len(pivots) == len(rows[0]) - linalg.rank(rows, field)
+    # no rows, and rows of zero width, have no kernel vectors
+    for rows in ((), ((), ())):
+        assert linalg.kernel(rows, field) == ((), ()) == linalg.rref(
+            linalg.nullspace(rows, field), field
+        )

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from matlislab import linalg
-from matlislab.algebra import ideal_from_generators
+from matlislab.algebra import ideal_from_generators, minimal_generators
 from matlislab.errors import NotEquivariant, NotUniserial
-from matlislab.randmod import Lcg, random_module, random_submodule
+from matlislab.randmod import Lcg, random_ideal, random_module, random_submodule
 from matlislab.modules import (
+    FModule,
     ModuleMap,
     ann_ring,
     annihilator_submodule,
@@ -17,12 +18,14 @@ from matlislab.modules import (
     generated_submodule,
     hom_space,
     ideal_times_module,
+    ideal_times_submodule,
     quotient_module,
     radical,
     regular_module,
     residue_field_module,
     socle,
     submodule_as_module,
+    submodule_from_spanning,
     submodule_intersection,
     submodule_sum,
     uniserial_chain,
@@ -240,3 +243,95 @@ def test_quotient_actions_match_section_formula(fixtures, name):
             assert [type(x) for a in Q.actions for r in a for x in r] == [
                 type(x) for a in actions for r in a for x in r
             ]
+            assert [type(x) for r in proj.matrix for x in r] == [
+                type(x) for r in proj_ref for x in r
+            ]
+
+
+def _hom_basis_by_fractions(M, N):
+    """The equivariance system X ga - gb X = 0 written entry by entry with
+    field arithmetic, as hom_space built it before it cleared
+    denominators; returns the basis matrices."""
+    f = M.parent.field
+    dm, dn = M.dim, N.dim
+    if dm == 0 or dn == 0:
+        return []
+    rows = []
+    for ga, gb in zip(M.generator_actions(), N.generator_actions()):
+        for a in range(dn):
+            for c in range(dm):
+                row = [f.zero] * (dn * dm)
+                for j in range(dm):
+                    row[a * dm + j] = ga[j][c]
+                for i in range(dn):
+                    row[i * dm + c] = f.neg(gb[a][i])
+                row[a * dm + c] = f.sub(ga[c][c], gb[a][a])
+                rows.append(tuple(row))
+    return [
+        tuple(tuple(s[a * dm + j] for j in range(dm)) for a in range(dn))
+        for s in linalg.nullspace(rows, f)
+    ]
+
+
+def _rescaled(M):
+    """M in the basis scaled by 1/2, 3, 2/7, ...: an isomorphic module whose
+    actions have denominators over Q."""
+    f = M.parent.field
+    scale = [f.of(*(1, 2) if i % 3 == 0 else (3, 1) if i % 3 == 1 else (2, 7))
+             for i in range(M.dim)]
+    d = tuple(tuple(scale[i] if i == j else f.zero for j in range(M.dim))
+              for i in range(M.dim))
+    d_inv = tuple(tuple(f.inv(scale[i]) if i == j else f.zero for j in range(M.dim))
+                  for i in range(M.dim))
+    return FModule(M.parent, [linalg.mat_mul(linalg.mat_mul(d, a, f), d_inv, f)
+                              for a in M.actions])
+
+
+@pytest.mark.parametrize("name", ["KXY", "V2", "R4"])
+def test_hom_space_matches_fraction_system(fixtures, name):
+    fx = fixtures[name]
+    A = fx.algebra
+    rng = Lcg(11)
+    mods = [fx.module(m) for m in sorted(fx.modules)] + [fx.ctx.I_mod, fx.ctx.I_dual]
+    mods += [random_module(A, rng) for _ in range(3)]
+    mods += [_rescaled(M) for M in mods[-4:]] + [direct_power(fx.module("E"), 2)[0]]
+    for M in mods:
+        for N in mods:
+            got = [g.matrix for g in hom_space(M, N).basis]
+            want = _hom_basis_by_fractions(M, N)
+            assert got == want
+            assert [type(x) for g in got for r in g for x in r] == [
+                type(x) for g in want for r in g for x in r
+            ]
+
+
+def _ideal_times_two_pass(I, U):
+    """I*U from the generator images, closed up under the action again:
+    the second pass ideal_times_submodule no longer makes."""
+    M = U.ambient
+    f = M.parent.field
+    rows = [
+        linalg.mat_vec(M.action_of(g), v, f)
+        for g in minimal_generators(I)
+        for v in U.basis_matrix
+    ]
+    return generated_submodule(M, submodule_from_spanning(M, rows).basis_matrix)
+
+
+@pytest.mark.parametrize("name", ["KXY", "V2", "R4"])
+def test_ideal_times_submodule_needs_one_pass(fixtures, name):
+    fx = fixtures[name]
+    A = fx.algebra
+    rng = Lcg(13)
+    ideals = [fx.ideal, A.max_ideal] + [random_ideal(A, rng, allow_unit=True) for _ in range(3)]
+    for _ in range(4):
+        M = random_module(A, rng)
+        for U in (random_submodule(M, rng), M.zero_submodule(), M.full_submodule()):
+            for I in ideals:
+                got = ideal_times_submodule(I, U)
+                want = _ideal_times_two_pass(I, U)
+                assert got == want
+                assert got.pivots == want.pivots
+                assert [type(x) for r in got.basis_matrix for x in r] == [
+                    type(x) for r in want.basis_matrix for x in r
+                ]

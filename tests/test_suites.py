@@ -65,8 +65,33 @@ def test_record_and_report_rendering():
 
 
 def test_fail_records_carry_witness():
-    rec = CheckRecord("x", "FX", "FAIL", "")
-    assert rec.witness == "-"
+    # a FAIL must say what failed; a PASS needs no witness
+    for witness in ("", "-", "  ", None):
+        with pytest.raises(MatlisLabError):
+            CheckRecord("x", "FX", "FAIL", witness)
+    with pytest.raises(MatlisLabError):
+        check("x", "FX", False)
+    assert CheckRecord("x", "FX", "PASS", "").witness == "-"
+    assert check("x", "FX", True, "unused").render() == "CHECK x FX PASS -"
+    assert CheckRecord("x", "FX", "FAIL", "dim=2").render() == "CHECK x FX FAIL dim=2"
+
+
+def test_satz22_counterexample_fail_names_missing_witness(kxy, monkeypatch):
+    # KXY's ideal fails the epi criterion, so satz22 builds a counterexample
+    monkeypatch.setattr(suites, "submodule_counterexample", lambda ctx: None)
+    rec = run_suite(kxy, "satz22", trials=0).records[1]
+    assert rec.name == "satz22-counterexample" and rec.status == "FAIL"
+    assert rec.witness == "criterion-false branch: no counterexample built (dim I=3)"
+
+
+def test_closure_degenerate_fail_names_conditions(r3, monkeypatch):
+    class OneDimensional:
+        dim = 1
+
+    monkeypatch.setattr(suites, "kappa", lambda ctx, M, shortcut=True: OneDimensional())
+    rec = run_suite(r3, "closure", trials=0).records[-1]
+    assert rec.name == "closure-degenerate-identity" and rec.status == "FAIL"
+    assert rec.witness == "nonzero on the zero module: dim kappa=1"
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
