@@ -18,6 +18,10 @@ from .errors import (
     ParentMismatch,
 )
 
+# the multiplication table has dim^3 entries and its validation takes
+# dim^3 products: building k[x]/(x^64) takes about 10 s
+MAX_ALGEBRA_DIM = 64
+
 
 def glex_key(exps):
     """Sort key realizing graded-lex order with x_1 > x_2 > ..."""
@@ -244,8 +248,12 @@ def build_algebra(pres):
         (m for i, m in enumerate(cols) if i not in pivset and sum(m) < N),
         key=glex_key,
     )
-    basis_index = {m: i for i, m in enumerate(basis)}
     dim = len(basis)
+    if dim > MAX_ALGEBRA_DIM:
+        raise FixtureValidationError(
+            "algebra of dimension %d > %d" % (dim, MAX_ALGEBRA_DIM)
+        )
+    basis_index = {m: i for i, m in enumerate(basis)}
 
     def nf_coords(exps):
         """Normal form of a monomial as coordinates over the basis."""

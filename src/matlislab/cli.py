@@ -53,8 +53,8 @@ def resolve_fixture(arg):
     )
 
 
-def _format_matrix(field, mat):
-    return "[" + "; ".join(format_vector(field, row) for row in mat) + "]"
+def _format_matrix(mat):
+    return "[" + "; ".join(format_vector(row) for row in mat) + "]"
 
 
 def run_compute(fx, command, module_ref):
@@ -71,14 +71,14 @@ def run_compute(fx, command, module_ref):
         for i, vname in enumerate(A.variables):
             lines.append(
                 "action %s = %s"
-                % (vname, _format_matrix(A.field, Md.action_of(A.var_elements[i])))
+                % (vname, _format_matrix(Md.action_of(A.var_elements[i])))
             )
         return "\n".join(lines)
     if command == "trace-basis":
         H = hom_space(ctx.I_mod, M)
         lines = ["hom-dim = %d" % len(H.basis)]
         for i, g in enumerate(H.basis):
-            lines.append("map %d = %s" % (i, _format_matrix(A.field, g.matrix)))
+            lines.append("map %d = %s" % (i, _format_matrix(g.matrix)))
         return "\n".join(lines)
     if command == "member-P":
         return "true" if is_p_member(ctx, M) else "false"

@@ -1,9 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` over Q, ints in
-``range(p)`` over F_p.  The field object carries the arithmetic so matrix
-code can stay generic.  Both kinds of scalar are falsy exactly when zero,
-so generic code tests ``if x:`` rather than comparing with ``field.zero``.
+Scalars are plain Python values.  Over Q a scalar is an ``int`` when it
+is integral and otherwise a ``fractions.Fraction`` whose denominator is
+not 1; every field operation and every ``linalg`` result keeps to this.
+Over F_p a scalar is an int in ``range(p)``.  The field object carries
+the arithmetic so matrix code can stay generic.  Both kinds of scalar
+are falsy exactly when zero, so generic code tests ``if x:`` rather than
+comparing with ``field.zero``.
 """
 
 from fractions import Fraction
@@ -26,32 +29,39 @@ def _is_prime(n):
     return True
 
 
+def _norm(x):
+    """A rational as a scalar of Q: an int when it is integral."""
+    if type(x) is not int and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 class RationalField:
-    """The field Q, elements are Fraction."""
+    """The field Q, elements are ints and non-integral Fractions."""
 
     name = "Q"
     char = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _norm(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _norm(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _norm(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return _norm(Fraction(1, a))
 
     def of(self, num, den=1):
-        return Fraction(num, den)
+        return _norm(Fraction(num, den))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -21,10 +21,23 @@ Module specs: {"type": "regular"}, {"type": "residue-field"},
 row-major matrix per variable (entries [num, den] over Q, residues over
 F_p); actions of the other basis monomials are derived from the variable
 actions and verified against the representation law.
+
+Size limits; a larger input raises FixtureValidationError before the
+matrices it asks for are built:
+
+- the truncation k[x_1..x_n] / m^(N+1) has at most ``MAX_MONOMIALS``
+  monomials, C(n + N, n) for n variables and nilpotency bound N,
+  computed from n and N;
+- the algebra has at most ``algebra.MAX_ALGEBRA_DIM`` basis monomials,
+  counted on the basis before its multiplication table is built;
+- an explicit module's ``dim``, and the dimension rank * dim(R) of a
+  presentation's free module R^rank, are at most ``MAX_MODULE_DIM``.
+
+The shipped fixtures have at most 10 monomials, and their algebras and
+modules have dimension at most 4.
 """
 
 import json
-from fractions import Fraction
 
 from .algebra import Presentation, build_algebra, ideal_from_generators
 from .classes import ClassContext
@@ -44,6 +57,9 @@ from .modules import (
     generated_submodule,
 )
 from . import linalg
+
+MAX_MONOMIALS = 1000
+MAX_MODULE_DIM = 128
 
 
 class Fixture:
@@ -120,6 +136,17 @@ def _json(raw, kind, where):
     return raw
 
 
+def _monomial_count(nvars, bound, cap):
+    """C(nvars + bound, nvars), the number of monomials of degree at most
+    ``bound`` in ``nvars`` variables, or ``cap + 1`` once it passes ``cap``."""
+    count = 1
+    for k in range(1, nvars + 1):
+        count = count * (bound + k) // k  # C(bound + k, k)
+        if count > cap:
+            return cap + 1
+    return count
+
+
 def fixture_from_dict(doc, name="<fixture>"):
     for key in ("field", "vars", "relations", "nilpotency"):
         if key not in doc:
@@ -140,9 +167,13 @@ def fixture_from_dict(doc, name="<fixture>"):
                     "relation %d has a degree-0 term: residue field must equal "
                     "the coefficient field" % i
                 )
-    pres = Presentation(
-        field, variables, relations, _integer(doc["nilpotency"], "nilpotency")
-    )
+    nilpotency = _integer(doc["nilpotency"], "nilpotency")
+    if nilpotency >= 1 and _monomial_count(nvars, nilpotency, MAX_MONOMIALS) > MAX_MONOMIALS:
+        raise FixtureValidationError(
+            "nilpotency %d in %d variables gives more than %d monomials"
+            % (nilpotency, nvars, MAX_MONOMIALS)
+        )
+    pres = Presentation(field, variables, relations, nilpotency)
     algebra = build_algebra(pres)
 
     gens = [
@@ -181,6 +212,11 @@ def _build_module(A, field, nvars, mname, spec):
         return quotient_module(R, sub)[0]
     if kind == "presentation":
         rank = _integer(spec.get("rank"), "%s: rank" % where, minimum=0)
+        if rank * A.dim > MAX_MODULE_DIM:
+            raise FixtureValidationError(
+                "%s: rank %d gives a free module of dimension %d > %d"
+                % (where, rank, rank * A.dim, MAX_MODULE_DIM)
+            )
         cols = []
         for col in _json(spec.get("columns", []), list, "%s: columns" % where):
             if len(_json(col, list, "%s: column" % where)) != rank:
@@ -194,6 +230,10 @@ def _build_module(A, field, nvars, mname, spec):
         return cokernel_of_presentation(A, rank, cols)[0]
     if kind == "explicit":
         dim = _integer(spec.get("dim"), "%s: dim" % where, minimum=0)
+        if dim > MAX_MODULE_DIM:
+            raise FixtureValidationError(
+                "%s: dim %d > %d" % (where, dim, MAX_MODULE_DIM)
+            )
         var_mats = {}
         for vname, mat in _json(spec.get("actions", {}), dict, "%s: actions" % where).items():
             if vname not in A.variables:
@@ -249,23 +289,14 @@ def parse_fixture(path):
 # --- canonical text serialization -----------------------------------------
 
 
-def format_scalar(field, x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
-    return str(x)
-
-
 def format_element(A, vec):
     """A ring element as a sum of monomial terms, graded-lex order."""
-    f = A.field
     parts = []
     for i, c in enumerate(vec):
-        if c == f.zero:
+        if not c:
             continue
         mono = _format_monomial(A, A.basis[i])
-        s = format_scalar(f, c)
+        s = str(c)
         if mono == "1":
             parts.append(s)
         elif s == "1":
@@ -289,15 +320,10 @@ def _format_monomial(A, exps):
 
 def element_terms(A, vec):
     """A ring element as a JSON-compatible term list."""
-    f = A.field
     terms = []
     for i, c in enumerate(vec):
-        if c == f.zero:
-            continue
-        if isinstance(c, Fraction):
+        if c:
             terms.append([c.numerator, c.denominator, list(A.basis[i])])
-        else:
-            terms.append([int(c), 1, list(A.basis[i])])
     return terms
 
 
@@ -308,13 +334,12 @@ def format_ideal(I):
     return "(" + ", ".join(format_element(A, r) for r in I.basis_matrix) + ")"
 
 
-def format_vector(field, vec):
-    return "[" + ", ".join(format_scalar(field, x) for x in vec) + "]"
+def format_vector(vec):
+    return "[" + ", ".join(map(str, vec)) + "]"
 
 
 def format_submodule(U):
     """Canonical basis rows of a submodule, one bracketed row each."""
-    f = U.ambient.parent.field
     if U.dim == 0:
         return "span{}"
-    return "span{" + "; ".join(format_vector(f, r) for r in U.basis_matrix) + "}"
+    return "span{" + "; ".join(format_vector(r) for r in U.basis_matrix) + "}"

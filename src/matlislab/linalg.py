@@ -12,9 +12,12 @@ functions use them:
   rows with their columns reversed, instead of two.
 
 Over Q the last two read their vectors off the integer echelon form and
-make each nonzero entry a Fraction once.  The products :func:`mat_mul`
-and :func:`mat_vec` also sum plain ints, reduced mod p once per entry
-over F_p and divided by the cleared denominators once per entry over Q.
+divide each nonzero entry by its pivot once, with :func:`_div`.  The
+products :func:`mat_mul` and :func:`mat_vec` also sum plain ints,
+reduced mod p once per entry over F_p and divided by the cleared
+denominators once per entry over Q.  Every Q result keeps the scalar
+contract of :mod:`matlislab.fields`: an int when integral, else a
+Fraction.
 """
 
 from fractions import Fraction
@@ -36,21 +39,36 @@ def rref(rows, field):
         out, pivots = _rref_fp(rows, field.p)
         return tuple(tuple(r) for r in out), tuple(pivots)
     out, pivots = _rref_int([_int_row(r)[0] for r in rows])
-    zero = field.zero
     frows = []
-    for i, row in enumerate(out):
-        piv = row[pivots[i]]
-        frows.append(tuple(Fraction(v, piv) if v else zero for v in row))
+    for row, c in zip(out, pivots):
+        piv = row[c]
+        if piv != 1:
+            row = [_div(v, piv) if v else 0 for v in row]
+        frows.append(tuple(row))
     return tuple(frows), tuple(pivots)
+
+
+def _div(a, b):
+    """The scalar ``a / b`` of Q for ints ``a`` and ``b != 0``: an int on
+    exact division, else a Fraction."""
+    if a % b:
+        return Fraction(a, b)
+    return a // b
 
 
 def _int_row(row):
     """``(ints, den)`` with ``row == ints / den`` and ``den`` the least
     common denominator of a row of Fractions or ints.
 
-    Both kinds of entry carry numerator/denominator, so clearing
-    denominators needs no Fraction arithmetic.
+    An all-int row comes back as a list as it is.  Otherwise both kinds
+    of entry carry numerator/denominator, so clearing denominators needs
+    no Fraction arithmetic.
     """
+    for v in row:
+        if type(v) is not int:
+            break
+    else:
+        return list(row), 1
     den = 1
     for v in row:
         d = v.denominator
@@ -244,7 +262,8 @@ def kernel(rows, field):
 def _null_basis(rows, field):
     """The null-space vectors (lists) of nonempty rows, and their free
     columns, read off the kernel's echelon form: over Q the elimination
-    runs on integer rows and each nonzero entry becomes a Fraction once.
+    runs on integer rows and each nonzero entry is divided by its pivot
+    once.
     """
     p = field.p if isinstance(field, PrimeField) else 0
     if p:
@@ -263,7 +282,7 @@ def _null_basis(rows, field):
         for c, row in zip(pivots, red):
             x = row[j]
             if x:
-                v[c] = -x % p if p else Fraction(-x, row[c])
+                v[c] = -x % p if p else _div(-x, row[c])
         basis.append(v)
         free.append(j)
     return basis, free
@@ -284,7 +303,7 @@ def mat_mul(a, b, field):
         return tuple(() for _ in a)
     if isinstance(field, PrimeField):
         return _mat_mul_fp(a, b, field.p)
-    return _mat_mul_q(a, b, field.zero)
+    return _mat_mul_q(a, b)
 
 
 def _mat_mul_fp(a, b, p):
@@ -303,9 +322,9 @@ def _mat_mul_fp(a, b, p):
     return tuple(out)
 
 
-def _mat_mul_q(a, b, zero):
+def _mat_mul_q(a, b):
     # integer dot products of denominator-cleared rows of a and columns
-    # of b; one Fraction per nonzero entry
+    # of b; one division per nonzero entry
     cols = [_int_row(col) for col in zip(*b)]
     out = []
     for row in a:
@@ -316,7 +335,7 @@ def _mat_mul_q(a, b, zero):
             s = 0
             for k, x in terms:
                 s += x * col[k]
-            orow.append(Fraction(s, da * db) if s else zero)
+            orow.append(_div(s, da * db) if s else 0)
         out.append(tuple(orow))
     return tuple(out)
 
@@ -326,7 +345,7 @@ def mat_vec(a, v, field):
     terms = [(k, y) for k, y in enumerate(v) if y]
     if isinstance(field, PrimeField):
         return _mat_vec_fp(a, terms, field.p)
-    return _mat_vec_q(a, terms, field.zero)
+    return _mat_vec_q(a, terms)
 
 
 def _mat_vec_fp(a, terms, p):
@@ -340,16 +359,15 @@ def _mat_vec_fp(a, terms, p):
     return tuple(out)
 
 
-def _mat_vec_q(a, terms, zero):
+def _mat_vec_q(a, terms):
     if len(terms) == 1:
-        # a column of a, scaled; int entries still come out as Fractions
+        # a column of a, scaled
         k, y = terms[0]
         col = [row[k] for row in a]
         if y == 1:
-            return tuple([x if type(x) is Fraction else zero + x for x in col])
-        if type(y) is not Fraction:
-            y = Fraction(y)
-        return tuple([x * y if x else zero for x in col])
+            return tuple(col)
+        yn, yd = y.numerator, y.denominator
+        return tuple([_div(x.numerator * yn, x.denominator * yd) if x else 0 for x in col])
     ys, dv = _int_row([y for _, y in terms])
     terms = [(k, y) for (k, _), y in zip(terms, ys)]
     out = []
@@ -359,14 +377,18 @@ def _mat_vec_q(a, terms, zero):
         den = 1
         for k, y in terms:
             x = row[k]
-            if x:
-                d = x.denominator
-                if d == den:
-                    num += x.numerator * y
-                else:
-                    num = num * d + x.numerator * y * den
-                    den *= d
-        out.append(Fraction(num, den * dv) if num else zero)
+            if not x:
+                continue
+            if type(x) is int:
+                num += x * y * den
+                continue
+            d = x.denominator
+            if d == den:
+                num += x.numerator * y
+            else:
+                num = num * d + x.numerator * y * den
+                den *= d
+        out.append(_div(num, den * dv) if num else 0)
     return tuple(out)
 
 

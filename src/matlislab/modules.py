@@ -79,9 +79,6 @@ class FModule:
             )
         return self._generator_actions
 
-    def zero_vector(self):
-        return tuple(self.parent.field.zero for _ in range(self.dim))
-
     def full_submodule(self):
         f = self.parent.field
         return Submodule(self, linalg.identity(self.dim, f), tuple(range(self.dim)))
@@ -117,9 +114,6 @@ class Submodule:
 
     def is_zero(self):
         return self.dim == 0
-
-    def is_full(self):
-        return self.dim == self.ambient.dim
 
     def contains(self, vec):
         return linalg.in_row_space(

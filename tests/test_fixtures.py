@@ -9,7 +9,10 @@ from matlislab.errors import (
     FixtureValidationError,
     UnknownModuleRef,
 )
+from matlislab.algebra import MAX_ALGEBRA_DIM
 from matlislab.fixtures import (
+    MAX_MODULE_DIM,
+    MAX_MONOMIALS,
     element_terms,
     fixture_from_dict,
     format_element,
@@ -115,6 +118,46 @@ def test_malformed_input_is_validation_error(tmp_path, changes):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     assert main(["ring", "check", "--fixture", str(p)]) == 2
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # C(1 + N, 1) = N + 1 monomials in one variable
+        {"nilpotency": MAX_MONOMIALS},
+        {"nilpotency": 10**18},
+        {"vars": ["v%d" % i for i in range(400)], "relations": [], "ideal": [],
+         "nilpotency": 10**18},
+        # k[x]/(x^65) passes the monomial limit; its algebra is too large
+        {"relations": [[[1, 1, [MAX_ALGEBRA_DIM + 1]]]], "nilpotency": MAX_ALGEBRA_DIM + 1},
+        {"modules": {"M": {"type": "explicit", "dim": MAX_MODULE_DIM + 1}}},
+        {"modules": {"M": {"type": "explicit", "dim": 10**12, "actions": {}}}},
+        # R3 has dimension 3, so R^43 has dimension 129
+        {"modules": {"M": {"type": "presentation", "rank": MAX_MODULE_DIM // 3 + 1,
+                           "columns": []}}},
+        {"modules": {"M": {"type": "presentation", "rank": 10**12, "columns": []}}},
+    ],
+)
+def test_oversized_input_is_rejected_before_building(tmp_path, changes):
+    doc = dict(R3_DOC, **changes)
+    t0 = time.perf_counter()
+    with pytest.raises(FixtureValidationError) as e:
+        fixture_from_dict(doc)
+    assert time.perf_counter() - t0 < 0.5
+    assert ">" in str(e.value) or "more than" in str(e.value)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    assert main(["ring", "check", "--fixture", str(p)]) == 2
+
+
+def test_inputs_at_the_size_limits_are_accepted():
+    assert fixture_from_dict(dict(R3_DOC, nilpotency=MAX_MONOMIALS - 1)).algebra.dim == 3
+    fx = fixture_from_dict(dict(R3_DOC, modules={
+        "X": {"type": "explicit", "dim": MAX_MODULE_DIM},
+        "P": {"type": "presentation", "rank": MAX_MODULE_DIM // 3, "columns": []},
+    }))
+    assert fx.module("X").dim == MAX_MODULE_DIM
+    assert fx.module("P").dim == 3 * (MAX_MODULE_DIM // 3)
 
 
 def test_huge_exponent_reduces_without_iterating():

@@ -8,11 +8,12 @@ so every run checks the same inputs in a few seconds.
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from matlislab.cli import main
-from matlislab.errors import MatlisLabError
-from matlislab.fixtures import fixture_from_dict
+from matlislab.errors import FixtureValidationError, MatlisLabError
+from matlislab.fixtures import MAX_MODULE_DIM, MAX_MONOMIALS, fixture_from_dict
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -35,8 +36,6 @@ BASE = {
     },
 }
 
-# small integers only: a large nilpotency bound or module dimension is
-# valid input whose algebra is too large for a quick test
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -50,7 +49,10 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
-EXPONENTS = st.lists(st.integers(-1, 4) | st.just(10**9), max_size=2)
+# sizes and exponents are drawn from all integers: fixture_from_dict
+# rejects an oversized truncation, algebra or module before building it
+SIZE = st.integers()
+EXPONENTS = st.lists(st.integers(-1, 4) | st.just(10**9) | st.integers(), max_size=2)
 TERM = st.builds(list, st.tuples(st.integers(-3, 3), st.integers(-1, 3), EXPONENTS)) | JSON
 ELEMENT = st.lists(TERM, max_size=3) | JSON
 SCALAR = st.integers(-3, 3) | st.lists(st.integers(-2, 3), min_size=2, max_size=2) | JSON
@@ -64,9 +66,9 @@ MODULE = st.fixed_dictionaries(
     },
     optional={
         "by": st.lists(ELEMENT, max_size=2) | JSON,
-        "rank": st.integers(-1, 2) | JSON,
+        "rank": SIZE | JSON,
         "columns": st.lists(st.lists(ELEMENT, max_size=2), max_size=2) | JSON,
-        "dim": st.integers(-1, 2) | JSON,
+        "dim": SIZE | JSON,
         "actions": st.dictionaries(st.sampled_from(["x", "y"]) | st.text(max_size=2),
                                    MATRIX, max_size=2) | JSON,
     },
@@ -75,7 +77,7 @@ VALUES = {
     "field": st.sampled_from(["Q", "Fp:2", "Fp:5", "Fp:4", "Fp:x", "R"]) | JSON,
     "vars": st.lists(st.sampled_from(["x", "y"]), max_size=2) | JSON,
     "relations": st.lists(ELEMENT, max_size=2) | JSON,
-    "nilpotency": st.integers(-1, 4) | JSON,
+    "nilpotency": SIZE | JSON,
     "ideal": st.lists(ELEMENT, max_size=2) | JSON,
     "seed": st.integers(-2, 2) | JSON,
     "modules": st.dictionaries(st.text(max_size=2), MODULE | JSON, max_size=2) | JSON,
@@ -116,8 +118,8 @@ LEAVES = [p for p in PATHS if not isinstance(_at(BASE, p), (dict, list))]
 @st.composite
 def fixture_docs(draw):
     """BASE with whole keys redrawn (a third of the examples), or with one
-    or two positions replaced: mostly scalars and mostly by small integers,
-    since most of the checks sit at the leaves."""
+    or two positions replaced: mostly scalars and mostly by integers, small
+    or of any size, since most of the checks sit at the leaves."""
     doc = dict(BASE)
     if draw(st.integers(0, 2)) == 0:
         keys = st.lists(st.sampled_from(sorted(VALUES)), min_size=1, max_size=3, unique=True)
@@ -130,7 +132,7 @@ def fixture_docs(draw):
         small = st.integers(-1, 2)
         for path in draw(st.lists(where, min_size=1, max_size=2)):
             try:
-                doc = _replaced(doc, path, draw(small | small | JSON))
+                doc = _replaced(doc, path, draw(small | small | SIZE | JSON))
             except (KeyError, IndexError, TypeError):
                 pass  # an earlier replacement removed this position
     return doc
@@ -139,6 +141,29 @@ def fixture_docs(draw):
 @FUZZ
 @given(fixture_docs())
 def test_fixture_from_dict_raises_only_matlislab_error(doc):
+    try:
+        fixture_from_dict(doc)
+    except MatlisLabError:
+        pass
+
+
+# each size field of BASE with the number of basis vectors it asks for
+SIZES = [
+    (("nilpotency",), lambda n: n + 1, MAX_MONOMIALS),  # C(1 + N, 1) monomials
+    (("modules", "X", "dim"), lambda n: n, MAX_MODULE_DIM),
+    (("modules", "P", "rank"), lambda n: 3 * n, MAX_MODULE_DIM),  # R^rank, dim R = 3
+]
+
+
+@FUZZ
+@given(st.sampled_from(SIZES), SIZE)
+def test_size_fields_of_any_value_are_built_or_rejected(size, n):
+    path, count, limit = size
+    doc = _replaced(BASE, path, n)
+    if count(n) > limit:
+        with pytest.raises(FixtureValidationError):
+            fixture_from_dict(doc)
+        return
     try:
         fixture_from_dict(doc)
     except MatlisLabError:

@@ -57,12 +57,15 @@ def test_rref_rational_mixed_ints_and_large_denominators():
     dependent = tuple(2 * a - F(5, p) * b for a, b in zip(r0, r1))
     rows = [r0, r1, dependent, (0, 0, 0, 0, 0), (F(p, q), -1, 2, F(1, p), F(q, p))]
     red, pivots = linalg.rref(rows, QQ)
-    assert (red, pivots) == _rref_by_fractions(rows)
+    want_red, want_pivots = _rref_by_fractions(rows)
+    _assert_same(red, want_red)
+    assert pivots == want_pivots
     assert len(pivots) == 3
-    assert all(type(x) is Fraction for row in red for x in row)
     # the same rows written with Fractions only give the same answer
     as_fractions = [tuple(F(x) for x in r) for r in rows]
-    assert linalg.rref(as_fractions, QQ) == (red, pivots)
+    red_f, pivots_f = linalg.rref(as_fractions, QQ)
+    _assert_same(red_f, want_red)
+    assert pivots_f == pivots
 
 
 def test_rref_mod_p():
@@ -215,9 +218,20 @@ def _mat_vec_ref(a, v, field):
     return tuple(_dot_ref(row, v, field) for row in a)
 
 
+def _in_contract(x):
+    """A reference scalar written in the Q scalar contract: an int when
+    integral, else a Fraction.  Ints mod p are unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def _assert_same(got, want):
-    """Equal matrices with equal scalar types, entry by entry."""
-    assert got == want
+    """Equal matrices, entry by entry, whose scalar types are those of
+    the reference written in the scalar contract: over Q an entry is an
+    int exactly when its denominator is 1."""
+    want = tuple(tuple(_in_contract(x) for x in r) for r in want)
+    assert tuple(got) == want
     assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
 
 
@@ -225,12 +239,13 @@ P_BIG, Q_BIG = 1_000_000_007, 998_244_353  # coprime
 
 
 def _mixed(rows):
-    """Ints and Fractions with large coprime denominators, side by side."""
+    """Ints and Fractions with large coprime denominators, side by side,
+    as scalars of Q (an int wherever the quotient is integral)."""
     dens = (1, P_BIG, Q_BIG, 7, P_BIG * Q_BIG)
     out = []
     for i, row in enumerate(rows):
         out.append(tuple(
-            x if (i + j) % 3 == 0 else F(x, dens[(i * 5 + j) % len(dens)])
+            x if (i + j) % 3 == 0 else QQ.of(x, dens[(i * 5 + j) % len(dens)])
             for j, x in enumerate(row)
         ))
     return tuple(out)
