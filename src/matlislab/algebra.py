@@ -19,8 +19,8 @@ from .errors import (
 )
 
 # the multiplication table has dim^3 entries and its validation takes
-# dim^3 products: building k[x]/(x^64) takes about 10 s
-MAX_ALGEBRA_DIM = 64
+# dim^3 products: building k[x]/(x^32) takes about 1 s, k[x]/(x^64) 10 s
+MAX_ALGEBRA_DIM = 32
 
 
 def glex_key(exps):

@@ -3,6 +3,10 @@
 Scalars are plain Python values.  Over Q a scalar is an ``int`` when it
 is integral and otherwise a ``fractions.Fraction`` whose denominator is
 not 1; every field operation and every ``linalg`` result keeps to this.
+A result that is computed is put into this form whatever its inputs;
+an entry that is only moved (by ``neg``, ``linalg.transpose`` or
+``linalg.stack``, or left alone by ``linalg.reduce_vector``) keeps the
+form it came in, so it keeps the contract when its input does.
 Over F_p a scalar is an int in ``range(p)``.  The field object carries
 the arithmetic so matrix code can stay generic.  Both kinds of scalar
 are falsy exactly when zero, so generic code tests ``if x:`` rather than

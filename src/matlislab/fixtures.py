@@ -23,18 +23,29 @@ F_p); actions of the other basis monomials are derived from the variable
 actions and verified against the representation law.
 
 Size limits; a larger input raises FixtureValidationError before the
-matrices it asks for are built:
+matrices it asks for are built.  Each is computed from the numbers of
+the document:
 
 - the truncation k[x_1..x_n] / m^(N+1) has at most ``MAX_MONOMIALS``
-  monomials, C(n + N, n) for n variables and nilpotency bound N,
-  computed from n and N;
+  monomials, C(n + N, n) for n variables and nilpotency bound N;
+- the relation system has at most ``MAX_RELATION_ROWS`` rows, one for
+  each relation and monomial of degree below N;
 - the algebra has at most ``algebra.MAX_ALGEBRA_DIM`` basis monomials,
   counted on the basis before its multiplication table is built;
 - an explicit module's ``dim``, and the dimension rank * dim(R) of a
-  presentation's free module R^rank, are at most ``MAX_MODULE_DIM``.
+  presentation's free module R^rank, are at most ``MAX_MODULE_DIM``;
+- an explicit module's dim(R) action matrices, stacked, have at most
+  ``MAX_ACTION_ROWS`` rows: checking the representation law multiplies
+  dim(R)^2 pairs of them, so its cost grows as dim(R)^2 * dim^3.
 
-The shipped fixtures have at most 10 monomials, and their algebras and
-modules have dimension at most 4.
+With coefficients of one digit, a fixture at these limits builds in at
+most about 5 s: two dense relations in x at N = 127 take 5 s, one 2.3 s,
+and a dense explicit module of dimension 128 over k[x]/(x^3) 2.3 s.
+Exact elimination grows with the size of the coefficients too, which
+no limit bounds: one dense relation in x at N = 127 with 20-digit
+coefficients takes about 100 s.  The largest shipped or benchmark
+fixture, k[x,y,z]/(x,y,z)^3, has 20 monomials, 100 relation rows and an
+algebra of dimension 10.
 """
 
 import json
@@ -58,8 +69,10 @@ from .modules import (
 )
 from . import linalg
 
-MAX_MONOMIALS = 1000
+MAX_MONOMIALS = 128
+MAX_RELATION_ROWS = 256
 MAX_MODULE_DIM = 128
+MAX_ACTION_ROWS = 384
 
 
 class Fixture:
@@ -168,11 +181,18 @@ def fixture_from_dict(doc, name="<fixture>"):
                     "the coefficient field" % i
                 )
     nilpotency = _integer(doc["nilpotency"], "nilpotency")
-    if nilpotency >= 1 and _monomial_count(nvars, nilpotency, MAX_MONOMIALS) > MAX_MONOMIALS:
-        raise FixtureValidationError(
-            "nilpotency %d in %d variables gives more than %d monomials"
-            % (nilpotency, nvars, MAX_MONOMIALS)
-        )
+    if nilpotency >= 1:
+        if _monomial_count(nvars, nilpotency, MAX_MONOMIALS) > MAX_MONOMIALS:
+            raise FixtureValidationError(
+                "nilpotency %d in %d variables gives more than %d monomials"
+                % (nilpotency, nvars, MAX_MONOMIALS)
+            )
+        rows = len(relations) * _monomial_count(nvars, nilpotency - 1, MAX_MONOMIALS)
+        if rows > MAX_RELATION_ROWS:
+            raise FixtureValidationError(
+                "%d relations at nilpotency %d give %d relation rows > %d"
+                % (len(relations), nilpotency, rows, MAX_RELATION_ROWS)
+            )
     pres = Presentation(field, variables, relations, nilpotency)
     algebra = build_algebra(pres)
 
@@ -234,6 +254,11 @@ def _build_module(A, field, nvars, mname, spec):
             raise FixtureValidationError(
                 "%s: dim %d > %d" % (where, dim, MAX_MODULE_DIM)
             )
+        if A.dim * dim > MAX_ACTION_ROWS:
+            raise FixtureValidationError(
+                "%s: %d action matrices of dim %d have %d rows > %d"
+                % (where, A.dim, dim, A.dim * dim, MAX_ACTION_ROWS)
+            )
         var_mats = {}
         for vname, mat in _json(spec.get("actions", {}), dict, "%s: actions" % where).items():
             if vname not in A.variables:
@@ -246,8 +271,9 @@ def _build_module(A, field, nvars, mname, spec):
             var_mats[vname] = tuple(
                 tuple(_scalar(field, x, where) for x in row) for row in mat
             )
+        zero = linalg.zeros(dim, dim, field)
         for vname in A.variables:
-            var_mats.setdefault(vname, linalg.zeros(dim, dim, field))
+            var_mats.setdefault(vname, zero)
         # derive actions of all basis monomials from the variable matrices
         actions = []
         for exps in A.basis:

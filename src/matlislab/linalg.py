@@ -365,7 +365,9 @@ def _mat_vec_q(a, terms):
         k, y = terms[0]
         col = [row[k] for row in a]
         if y == 1:
-            return tuple(col)
+            # an integral Fraction entry is read as its int
+            return tuple([x if type(x) is int or x.denominator != 1 else x.numerator
+                          for x in col])
         yn, yd = y.numerator, y.denominator
         return tuple([_div(x.numerator * yn, x.denominator * yd) if x else 0 for x in col])
     ys, dv = _int_row([y for _, y in terms])
@@ -377,17 +379,13 @@ def _mat_vec_q(a, terms):
         den = 1
         for k, y in terms:
             x = row[k]
-            if not x:
-                continue
-            if type(x) is int:
-                num += x * y * den
-                continue
-            d = x.denominator
-            if d == den:
-                num += x.numerator * y
-            else:
-                num = num * d + x.numerator * y * den
-                den *= d
+            if x:
+                d = x.denominator
+                if d == den:
+                    num += x.numerator * y
+                else:
+                    num = num * d + x.numerator * y * den
+                    den *= d
         out.append(_div(num, den * dv) if num else 0)
     return tuple(out)
 

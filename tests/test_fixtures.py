@@ -11,8 +11,10 @@ from matlislab.errors import (
 )
 from matlislab.algebra import MAX_ALGEBRA_DIM
 from matlislab.fixtures import (
+    MAX_ACTION_ROWS,
     MAX_MODULE_DIM,
     MAX_MONOMIALS,
+    MAX_RELATION_ROWS,
     element_terms,
     fixture_from_dict,
     format_element,
@@ -128,10 +130,18 @@ def test_malformed_input_is_validation_error(tmp_path, changes):
         {"nilpotency": 10**18},
         {"vars": ["v%d" % i for i in range(400)], "relations": [], "ideal": [],
          "nilpotency": 10**18},
-        # k[x]/(x^65) passes the monomial limit; its algebra is too large
+        # C(n + 1, n) = n + 1 monomials at nilpotency 1
+        {"vars": ["v%d" % i for i in range(999)], "relations": [], "ideal": [],
+         "nilpotency": 1},
+        # 3 relations times the N = 100 monomials of degree below N
+        {"relations": [[[1, 1, [3]]]] * 3, "nilpotency": 100},
+        # k[x]/(x^33) passes the monomial limit; its algebra is too large
         {"relations": [[[1, 1, [MAX_ALGEBRA_DIM + 1]]]], "nilpotency": MAX_ALGEBRA_DIM + 1},
         {"modules": {"M": {"type": "explicit", "dim": MAX_MODULE_DIM + 1}}},
         {"modules": {"M": {"type": "explicit", "dim": 10**12, "actions": {}}}},
+        # over k[x]/(x^4) the action matrices of dim d stack to 4d rows
+        {"relations": [[[1, 1, [4]]]], "nilpotency": 4,
+         "modules": {"M": {"type": "explicit", "dim": MAX_ACTION_ROWS // 4 + 1}}},
         # R3 has dimension 3, so R^43 has dimension 129
         {"modules": {"M": {"type": "presentation", "rank": MAX_MODULE_DIM // 3 + 1,
                            "columns": []}}},
@@ -150,14 +160,40 @@ def test_oversized_input_is_rejected_before_building(tmp_path, changes):
     assert main(["ring", "check", "--fixture", str(p)]) == 2
 
 
+def _built_in_time(doc):
+    t0 = time.perf_counter()
+    fx = fixture_from_dict(doc)
+    assert time.perf_counter() - t0 < 5
+    return fx
+
+
 def test_inputs_at_the_size_limits_are_accepted():
-    assert fixture_from_dict(dict(R3_DOC, nilpotency=MAX_MONOMIALS - 1)).algebra.dim == 3
-    fx = fixture_from_dict(dict(R3_DOC, modules={
-        "X": {"type": "explicit", "dim": MAX_MODULE_DIM},
+    N = MAX_MONOMIALS - 1
+    assert _built_in_time(dict(R3_DOC, nilpotency=N)).algebra.dim == 3
+    # banded relations: elimination fills in every earlier pivot row
+    x_is_x2 = [[1, 1, [1]], [-1, 1, [2]]]
+    assert _built_in_time(dict(R3_DOC, relations=[x_is_x2], ideal=[], nilpotency=N)).algebra.dim == 1
+    two = [x_is_x2, [[2, 1, [1]], [-1, 1, [3]]]]
+    assert 2 * N <= MAX_RELATION_ROWS
+    assert _built_in_time(dict(R3_DOC, relations=two, ideal=[], nilpotency=N)).algebra.dim == 1
+    assert _built_in_time(dict(
+        R3_DOC, relations=[[[1, 1, [MAX_ALGEBRA_DIM]]]], nilpotency=MAX_ALGEBRA_DIM
+    )).algebra.dim == MAX_ALGEBRA_DIM
+    dim = min(MAX_MODULE_DIM, MAX_ACTION_ROWS // 3)
+    fx = _built_in_time(dict(R3_DOC, modules={
+        "X": {"type": "explicit", "dim": dim},
         "P": {"type": "presentation", "rank": MAX_MODULE_DIM // 3, "columns": []},
     }))
-    assert fx.module("X").dim == MAX_MODULE_DIM
+    assert fx.module("X").dim == dim
     assert fx.module("P").dim == 3 * (MAX_MODULE_DIM // 3)
+    # as many variables as the monomial limit allows, each one zero
+    nvars = MAX_MONOMIALS - 1
+    fx = _built_in_time({
+        "field": "Q", "vars": ["v%d" % i for i in range(nvars)],
+        "relations": [[[1, 1, [int(i == j) for j in range(nvars)]]] for i in range(nvars)],
+        "nilpotency": 1, "modules": {"X": {"type": "explicit", "dim": MAX_MODULE_DIM}},
+    })
+    assert fx.algebra.dim == 1 and fx.module("X").dim == MAX_MODULE_DIM
 
 
 def test_huge_exponent_reduces_without_iterating():

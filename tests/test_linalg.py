@@ -239,13 +239,13 @@ P_BIG, Q_BIG = 1_000_000_007, 998_244_353  # coprime
 
 
 def _mixed(rows):
-    """Ints and Fractions with large coprime denominators, side by side,
-    as scalars of Q (an int wherever the quotient is integral)."""
+    """Ints and Fractions with large coprime denominators, side by side;
+    denominator 1 gives Fractions such as ``F(x, 1)`` that are integral."""
     dens = (1, P_BIG, Q_BIG, 7, P_BIG * Q_BIG)
     out = []
     for i, row in enumerate(rows):
         out.append(tuple(
-            x if (i + j) % 3 == 0 else QQ.of(x, dens[(i * 5 + j) % len(dens)])
+            x if (i + j) % 3 == 0 else F(x, dens[(i * 5 + j) % len(dens)])
             for j, x in enumerate(row)
         ))
     return tuple(out)

@@ -96,13 +96,21 @@ def test_linalg_results_keep_the_contract(seed):
         other = _rows(rng, ncols, 4)
         _assert_contract(linalg.mat_mul(rows, other, QQ))
         # integral entries written as Fractions are accepted and put back
-        # into the contract
+        # into the contract, with the same values
         as_fractions = [tuple(Fraction(x) for x in r) for r in rows]
-        assert linalg.rref(as_fractions, QQ) == (red, pivots)
-        _assert_contract(linalg.rref(as_fractions, QQ)[0])
-        _assert_contract(linalg.kernel(as_fractions, QQ)[0])
-        _assert_contract(linalg.nullspace(as_fractions, QQ))
-        _assert_contract(linalg.mat_mul(as_fractions, other, QQ))
+        results = (
+            (linalg.rref(as_fractions, QQ)[0], red),
+            (linalg.kernel(as_fractions, QQ)[0], linalg.kernel(rows, QQ)[0]),
+            (linalg.nullspace(as_fractions, QQ), linalg.nullspace(rows, QQ)),
+            (linalg.mat_mul(as_fractions, other, QQ), linalg.mat_mul(rows, other, QQ)),
+        )
+        results += tuple(
+            ([linalg.mat_vec(as_fractions, v, QQ)], [linalg.mat_vec(rows, v, QQ)])
+            for v in _vectors(rng, ncols)
+        )
+        for got, want in results:
+            _assert_contract(got)
+            assert tuple(got) == tuple(want)
 
 
 def _modules(fx):
