@@ -65,6 +65,8 @@ class RationalField:
         return _norm(Fraction(1, a))
 
     def of(self, num, den=1):
+        if den == 1 and type(num) is int:
+            return num
         return _norm(Fraction(num, den))
 
     def __eq__(self, other):

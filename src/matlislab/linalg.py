@@ -399,9 +399,7 @@ def mat_scale(c, a, field):
 
 
 def transpose(a):
-    if not a:
-        return ()
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
+    return tuple(zip(*a))
 
 
 def rank(rows, field):

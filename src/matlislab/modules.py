@@ -256,25 +256,33 @@ def _require_same_parent(a, b):
         raise ParentMismatch("operands live over different algebras")
 
 
-def ideal_times_submodule(I, U):
-    """The submodule I*U inside the ambient of U."""
-    M = U.ambient
+def _ideal_times(I, M, basis):
+    """I*U inside M, for U spanned by the echelon rows ``basis``, or all of
+    M when ``basis`` is None."""
     if I.parent is not M.parent:
         raise ParentMismatch("ideal and module over different algebras")
     f = M.parent.field
     rows = []
     for g in minimal_generators(I):
         act = M.action_of(g)
-        for v in U.basis_matrix:
-            rows.append(linalg.mat_vec(act, v, f))
+        if basis is None or len(basis) == M.dim:
+            # g*M is spanned by the columns of g's action
+            rows.extend(linalg.transpose(act))
+        else:
+            rows.extend(linalg.mat_vec(act, v, f) for v in basis)
     # the images g*U already span an action-closed space, since R is
     # commutative and U is a submodule: r*(g*u) = g*(r*u) with r*u in U
     return submodule_from_spanning(M, rows)
 
 
+def ideal_times_submodule(I, U):
+    """The submodule I*U inside the ambient of U."""
+    return _ideal_times(I, U.ambient, U.basis_matrix)
+
+
 def ideal_times_module(I, M):
     """The submodule I*M."""
-    return ideal_times_submodule(I, M.full_submodule())
+    return _ideal_times(I, M, None)
 
 
 def annihilator_submodule(M, a):
@@ -392,69 +400,54 @@ def quotient_module(M, U):
     return Q, ModuleMap(M, Q, proj, check=False)
 
 
+def _block_diagonal(A, summands):
+    """The direct sum of the summands, block-diagonal in their order."""
+    f = A.field
+    n = sum(M.dim for M in summands)
+    actions = []
+    for i in range(A.dim):
+        rows = []
+        lo = 0
+        for M in summands:
+            left = (f.zero,) * lo
+            right = (f.zero,) * (n - lo - M.dim)
+            rows.extend(left + row + right for row in M.actions[i])
+            lo += M.dim
+        actions.append(rows)
+    return FModule(A, actions, check=False)
+
+
+def _unit_block(n, lo, d, f):
+    """The n x d matrix whose rows lo .. lo+d-1 hold the identity."""
+    zero_row = (f.zero,) * d
+    return (zero_row,) * lo + linalg.identity(d, f) + (zero_row,) * (n - lo - d)
+
+
 def direct_sum(M, N):
     """Block-diagonal sum with injections and projections."""
     _require_same_parent(M, N)
     f = M.parent.field
-    dm, dn = M.dim, N.dim
-    actions = []
-    for am, an in zip(M.actions, N.actions):
-        rows = []
-        for i in range(dm):
-            rows.append(tuple(am[i]) + tuple(f.zero for _ in range(dn)))
-        for i in range(dn):
-            rows.append(tuple(f.zero for _ in range(dm)) + tuple(an[i]))
-        actions.append(tuple(rows))
-    S = FModule(M.parent, actions, check=False)
-    inj_m = ModuleMap(
-        M,
+    S = _block_diagonal(M.parent, (M, N))
+    inj_m = _unit_block(S.dim, 0, M.dim, f)
+    inj_n = _unit_block(S.dim, M.dim, N.dim, f)
+    return (
         S,
-        tuple(
-            tuple(f.one if i == j else f.zero for j in range(dm))
-            for i in range(dm + dn)
+        (ModuleMap(M, S, inj_m, check=False), ModuleMap(N, S, inj_n, check=False)),
+        (
+            ModuleMap(S, M, linalg.transpose(inj_m), check=False),
+            ModuleMap(S, N, linalg.transpose(inj_n), check=False),
         ),
-        check=False,
     )
-    inj_n = ModuleMap(
-        N,
-        S,
-        tuple(
-            tuple(f.one if i - dm == j else f.zero for j in range(dn))
-            for i in range(dm + dn)
-        ),
-        check=False,
-    )
-    proj_m = ModuleMap(
-        S,
-        M,
-        tuple(
-            tuple(f.one if i == j else f.zero for j in range(dm + dn))
-            for i in range(dm)
-        ),
-        check=False,
-    )
-    proj_n = ModuleMap(
-        S,
-        N,
-        tuple(
-            tuple(f.one if j - dm == i else f.zero for j in range(dm + dn))
-            for i in range(dn)
-        ),
-        check=False,
-    )
-    return S, (inj_m, inj_n), (proj_m, proj_n)
 
 
 def direct_power(M, j):
     """M^j with injection maps."""
-    if j == 0:
-        return zero_module(M.parent), []
-    S = M
-    injs = [ModuleMap(M, M, linalg.identity(M.dim, M.parent.field), check=False)]
-    for _ in range(j - 1):
-        S2, (ia, ib), _ = direct_sum(S, M)
-        injs = [ia.compose(e) for e in injs] + [ib]
-        S = S2
+    S = _block_diagonal(M.parent, (M,) * j)
+    f = M.parent.field
+    injs = [
+        ModuleMap(M, S, _unit_block(S.dim, i * M.dim, M.dim, f), check=False)
+        for i in range(j)
+    ]
     return S, injs
 
 

@@ -408,7 +408,7 @@ def suite_closure(fx, trials, rng, budget):
         Q, _ = quotient_module(S, U)
         quot_ok = is_p_member(ctx, Q)
         summand_ok = True
-        if is_p_member(ctx, S):
+        if sum_ok:
             summand_ok = is_p_member(ctx, M) and is_p_member(ctx, N)
         ok = sum_ok and quot_ok and summand_ok
         records.append(

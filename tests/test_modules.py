@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from matlislab.modules import (
     submodule_intersection,
     submodule_sum,
     uniserial_chain,
+    zero_module,
     is_essential,
     is_small,
 )
@@ -152,15 +154,63 @@ def test_direct_sum_maps(r3):
     k = residue_field_module(A)
     S, (ia, ib), (pa, pb) = direct_sum(R, k)
     assert S.dim == 4
-    assert pa.compose(ia).matrix == tuple(
-        tuple(F(1) if i == j else F(0) for j in range(3)) for i in range(3)
-    )
-    assert pb.compose(ia).is_zero()
+    assert pa.compose(ia).matrix == linalg.identity(3, A.field)
+    assert pb.compose(ib).matrix == linalg.identity(1, A.field)
+    assert pb.compose(ia).is_zero() and pa.compose(ib).is_zero()
+    # i_a p_a + i_b p_b is the identity of the sum
+    assert linalg.mat_add(
+        ia.compose(pa).matrix, ib.compose(pb).matrix, A.field
+    ) == linalg.identity(4, A.field)
 
 
 def test_direct_power(r3):
     M, injs = direct_power(regular_module(r3.algebra), 3)
     assert M.dim == 9 and len(injs) == 3
+
+
+def _direct_power_by_sums(M, j):
+    """M^j as direct_power built it before it wrote its blocks directly:
+    iterated direct_sum, each earlier injection composed with the new one."""
+    if j == 0:
+        return zero_module(M.parent), []
+    S = M
+    injs = [ModuleMap(M, M, linalg.identity(M.dim, M.parent.field), check=False)]
+    for _ in range(j - 1):
+        S2, (ia, ib), _ = direct_sum(S, M)
+        injs = [ia.compose(e) for e in injs] + [ib]
+        S = S2
+    return S, injs
+
+
+@pytest.mark.parametrize("name", ["R3", "KXY", "R4"])
+def test_direct_power_matches_iterated_sums(fixtures, name):
+    fx = fixtures[name]
+    A = fx.algebra
+    rng = Lcg(17)
+    mods = [regular_module(A), fx.ctx.I_mod, random_module(A, rng)]
+    mods.append(_rescaled(mods[-1]))
+    for M in mods:
+        for j in range(5):
+            got, got_injs = direct_power(M, j)
+            want, want_injs = _direct_power_by_sums(M, j)
+            assert got == want
+            assert [i.matrix for i in got_injs] == [i.matrix for i in want_injs]
+            assert [type(x) for a in got.actions for r in a for x in r] == [
+                type(x) for a in want.actions for r in a for x in r
+            ]
+            assert [type(x) for i in got_injs for r in i.matrix for x in r] == [
+                type(x) for i in want_injs for r in i.matrix for x in r
+            ]
+            assert all(i.source == M and i.target == got for i in got_injs)
+
+
+def test_direct_power_of_high_rank_is_fast(r3):
+    """Building R^85 over k[x]/(x^3) took about 10 s on a 2-vCPU host
+    when every earlier injection was composed with each new one."""
+    start = time.perf_counter()
+    M, injs = direct_power(regular_module(r3.algebra), 85)
+    assert time.perf_counter() - start < 1.0
+    assert M.dim == 255 and len(injs) == 85
 
 
 def test_uniserial_chain(r3, kxy):
@@ -335,3 +385,21 @@ def test_ideal_times_submodule_needs_one_pass(fixtures, name):
                 assert [type(x) for r in got.basis_matrix for x in r] == [
                     type(x) for r in want.basis_matrix for x in r
                 ]
+
+
+@pytest.mark.parametrize("name", ["R3", "R4", "KXY", "V2"])
+def test_ideal_times_module_matches_full_submodule(fixtures, name):
+    """I*M from the columns of the generators' actions equals I*U for U
+    the full submodule, and the product of each action with each unit
+    vector."""
+    fx = fixtures[name]
+    A = fx.algebra
+    rng = Lcg(19)
+    mods = [fx.module(m) for m in sorted(fx.modules)] + [fx.ctx.I_mod, fx.ctx.I_dual]
+    mods += [random_module(A, rng) for _ in range(3)]
+    mods.append(_rescaled(mods[-1]))
+    for M in mods:
+        for I in (fx.ctx.I, fx.ctx.ann_i, A.max_ideal):
+            got = ideal_times_module(I, M)
+            assert got == ideal_times_submodule(I, M.full_submodule())
+            assert got == _ideal_times_two_pass(I, M.full_submodule())

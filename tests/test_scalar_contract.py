@@ -14,7 +14,13 @@ from matlislab import linalg
 from matlislab.classes import gamma, kappa
 from matlislab.duality import matlis_dual
 from matlislab.fields import QQ
-from matlislab.modules import hom_space, quotient_module
+from matlislab.modules import (
+    direct_power,
+    direct_sum,
+    hom_space,
+    ideal_times_module,
+    quotient_module,
+)
 from matlislab.randmod import Lcg, random_module
 
 Q_FIXTURES = ["R3", "KXY", "V2"]
@@ -143,3 +149,10 @@ def test_fixture_modules_keep_the_contract(fixtures, name):
         _assert_contract(proj.matrix)
         for action in Q.actions:
             _assert_contract(action)
+        S, injs, projs = direct_sum(M, fx.ctx.I_mod)
+        P, powers = direct_power(M, 2)
+        for action in S.actions + P.actions:
+            _assert_contract(action)
+        for h in injs + projs + tuple(powers):
+            _assert_contract(h.matrix)
+        _assert_contract(ideal_times_module(fx.ideal, M).basis_matrix)
