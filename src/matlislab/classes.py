@@ -2,16 +2,31 @@
 
 For a fixed ideal I, the class P consists of the I-generated modules
 (quotients of direct sums of copies of I) and S of the modules embedding
-into products of copies of the dual of I.  The largest P-submodule of M
-is the trace of I in M: every image of a map I -> M is I-generated, a sum
-of I-generated submodules is I-generated, and any I-generated U <= M is a
-sum of images of maps I -> M.  Dually the smallest V with M/V in S is the
-reject, the joint kernel of all maps M -> I-dual: the quotient by the
-joint kernel embeds into a finite product of copies of I-dual, and any V
-with M/V in S contains that kernel.  Sums over a basis of the Hom-space
-suffice for the trace (images of spanning maps span all images), and
-kernels over a basis suffice for the reject (a kernel of a combination
-contains the joint kernel).
+into products of copies of the dual I° of I.  The largest P-submodule of
+M is the trace of I in M, the sum of the images of all maps I -> M: each
+image is I-generated, a sum of I-generated submodules is I-generated,
+and any I-generated U <= M is a sum of such images.  Dually the smallest
+V with M/V in S is the reject, the joint kernel of all maps M -> I°: the
+quotient by the joint kernel embeds into a finite product of copies of
+I°, and any V with M/V in S contains that kernel.
+
+Both are computed from a presentation of I (see Eisenbud, Commutative
+Algebra, GTM 150, on Hom and tensor products of presented modules).  Let
+g_1, ..., g_n be the minimal generators of I and Syz <= R^n their
+syzygies, the (s_1, ..., s_n) with s_1 g_1 + ... + s_n g_n = 0, so that
+I = R^n / Syz.
+
+- A map I -> M is the choice of images m_i of the g_i with
+  s_1 m_1 + ... + s_n m_n = 0 for every s in Syz, and its image is
+  R m_1 + ... + R m_n.  The solutions (m_1, ..., m_n) form an R-module,
+  so the trace is the k-span of the n slots of a basis of solutions.
+- Hom_R(M, I°) is the k-dual of I ⊗ M = M^n / Syz.M, where Syz.M is
+  spanned by the (s_1 m, ..., s_n m).  A map M -> I° kills m exactly
+  when its functional kills g_j ⊗ m for every j, so the reject is the
+  set of m that lie in Syz.M when put in slot j, for every j.
+
+A k-basis of Syz gives both systems: n.dim(M) unknowns, against
+dim(I).dim(M) for a Hom system.
 """
 
 from . import linalg
@@ -21,18 +36,14 @@ from .algebra import (
     minimal_generators,
 )
 from .duality import annihilator_in_dual, matlis_dual
-from .errors import NotFree, NotInjectiveAmbient, NotUniserial
+from .errors import NotFree, NotUniserial
 from .modules import (
-    ModuleMap,
     Submodule,
     ann_ring,
     annihilator_submodule,
-    colon_submodule,
     direct_power,
     generated_submodule,
-    hom_space,
     ideal_times_module,
-    ideal_times_submodule,
     quotient_module,
     radical,
     regular_module,
@@ -45,8 +56,8 @@ from .modules import (
 class ClassContext:
     """An algebra with a distinguished ideal I and its derived data.
 
-    Caches Ann_R(I), the double annihilator, I as a module of its own,
-    and the dual of I.  Immutable after construction.
+    Caches Ann_R(I), the double annihilator and I as a module of its
+    own; the syzygies of I are computed on first use.
     """
 
     def __init__(self, algebra, ideal):
@@ -57,45 +68,92 @@ class ClassContext:
         self.regular = regular_module(algebra)
         self.I_sub = Submodule(self.regular, ideal.basis_matrix, ideal.pivots)
         self.I_mod, self.I_incl = submodule_as_module(self.I_sub)
-        self.I_dual = matlis_dual(self.I_mod)
+        self._syzygies = None
         if ideal_product(self.ann_i, ideal).dim != 0:
             raise NotFree("annihilator certificate failed")  # cannot happen
         if not self.bar_i.contains_ideal(ideal):
             raise NotFree("double annihilator certificate failed")  # cannot happen
 
+    def syzygies(self):
+        """A k-basis of the syzygies of the minimal generators g_1..g_n of I.
+
+        Each syzygy is an n-tuple (s_1, ..., s_n) of ring elements with
+        s_1 g_1 + ... + s_n g_n = 0: a solution of the row block
+        [L_g1 | ... | L_gn], L_g the multiplication by g.  Computed once
+        per context and kept on it.
+        """
+        if self._syzygies is None:
+            gens = minimal_generators(self.I)
+            block = _row_block([self.regular.action_of(g) for g in gens])
+            basis = linalg.kernel(block, self.algebra.field)[0] if gens else ()
+            self._syzygies = tuple(_slots(v, len(gens), self.algebra.dim) for v in basis)
+        return self._syzygies
+
     def __repr__(self):
         return "ClassContext(I dim=%d over %r)" % (self.I.dim, self.algebra)
+
+
+def _row_block(matrices):
+    """The matrices, of equal row counts, side by side."""
+    return [sum(rows, ()) for rows in zip(*matrices)]
+
+
+def _slots(v, n, d):
+    """A vector of length n*d cut into its n slots of length d."""
+    return tuple(tuple(v[j * d:(j + 1) * d]) for j in range(n))
 
 
 def gamma(ctx, M, shortcut=True):
     """The trace of I in M: the largest submodule of M lying in P.
 
     With ``shortcut`` the bounds I*M <= trace <= M[Ann(I)] short-circuit
-    the Hom computation when they coincide; verification suites compare
-    both routes.
+    the computation when they coincide; verification suites compare
+    both routes.  Otherwise the trace is the span of the slots of the
+    solutions (m_1, ..., m_n) of s_1 m_1 + ... + s_n m_n = 0, s running
+    over the syzygies of I.
     """
     if shortcut:
         lower = ideal_times_module(ctx.I, M)
         if lower == annihilator_submodule(M, ctx.ann_i):
             return lower
-    H = hom_space(ctx.I_mod, M)
+    n = len(minimal_generators(ctx.I))
+    if n == 0 or M.dim == 0:
+        return M.zero_submodule()
+    syz = ctx.syzygies()
+    if not syz:
+        # I is free, hence I = R
+        return M.full_submodule()
     rows = []
-    for g in H.basis:
-        rows.extend(linalg.transpose(g.matrix))
-    return submodule_from_spanning(M, rows)
+    for s in syz:
+        rows.extend(_row_block([M.action_of(si) for si in s]))
+    sols, _ = linalg.kernel(rows, M.parent.field)
+    return submodule_from_spanning(M, [m for v in sols for m in _slots(v, n, M.dim)])
 
 
 def kappa(ctx, M, shortcut=True):
-    """The reject of I-dual in M: the smallest V with M/V in S."""
+    """The reject of I° in M: the smallest V with M/V in S.
+
+    Without the shortcut: the m that lie in Syz.M inside M^n when put in
+    slot j, for every j.
+    """
     if shortcut:
         lower = ideal_times_module(ctx.ann_i, M)
         if lower == annihilator_submodule(M, ctx.I):
             return lower
-    H = hom_space(M, ctx.I_dual)
-    if not H.basis:
+    n = len(minimal_generators(ctx.I))
+    if n == 0 or M.dim == 0:
         return M.full_submodule()
-    stacked = linalg.stack(*[g.matrix for g in H.basis])
-    return Submodule(M, *linalg.kernel(stacked, M.parent.field))
+    f = M.parent.field
+    # Syz.M is spanned by the (s_1 m, ..., s_n m) over a basis of M: the
+    # rows of [S_1^T | ... | S_n^T], S_i the action of s_i
+    spanning = []
+    for s in ctx.syzygies():
+        spanning.extend(_row_block([linalg.transpose(M.action_of(si)) for si in s]))
+    funcs = linalg.vanishing_functionals(spanning, n * M.dim, f)
+    if not funcs:
+        return M.full_submodule()
+    rows = [phi for v in funcs for phi in _slots(v, n, M.dim)]
+    return Submodule(M, *linalg.kernel(rows, f))
 
 
 def is_p_member(ctx, M, shortcut=True):
@@ -118,10 +176,10 @@ def duality_transfer(ctx, M):
 def epi_onto_r_mod_ann_exists(ctx):
     """Does some map I -> R/Ann(I) hit the top of the target?
 
-    A map whose composite with the projection onto the one-dimensional
-    top is nonzero has image not contained in the radical, hence is
-    surjective by Nakayama; conversely a surjection clearly has nonzero
-    composite.
+    A map whose image is not contained in the radical of the cyclic
+    target is surjective by Nakayama, and conversely.  The trace is the
+    sum of all images, so it leaves the radical exactly when one image
+    does.
     """
     R = ctx.regular
     ann_sub = Submodule(R, ctx.ann_i.basis_matrix, ctx.ann_i.pivots)
@@ -129,11 +187,7 @@ def epi_onto_r_mod_ann_exists(ctx):
     if Q.dim == 0:
         # Ann(I) = R forces I = 0; the zero map is onto the zero module
         return True
-    T, proj_top = quotient_module(Q, radical(Q))
-    for g in hom_space(ctx.I_mod, Q).basis:
-        if not proj_top.compose(g).is_zero():
-            return True
-    return False
+    return not radical(Q).contains_submodule(gamma(ctx, Q))
 
 
 class SubmoduleWitness:
@@ -177,73 +231,6 @@ def submodule_counterexample(ctx):
         Cmod,
         is_p_member(ctx, Cmod),
     )
-
-
-def is_injective_module(W):
-    """Certificate that W is injective: its dual must be free."""
-    from .ext import free_cover
-
-    Wd = matlis_dual(W)
-    if Wd.dim == 0:
-        return True
-    return free_cover(Wd).syzygy.dim == 0
-
-
-def is_free_module(A):
-    from .ext import free_cover
-
-    if A.dim == 0:
-        return True
-    return free_cover(A).syzygy.dim == 0
-
-
-def embed_into_injective(M):
-    """A monomorphism of M into a finite direct sum of copies of E.
-
-    Dualize a free cover of the dual: the dual of the cover surjection
-    composed with evaluation is injective.
-    """
-    from .ext import free_cover
-
-    Md = matlis_dual(M)
-    cov = free_cover(Md)
-    W = matlis_dual(cov.free)
-    e = ModuleMap(M, W, linalg.transpose(cov.epi.matrix), check=False)
-    return W, e
-
-
-def lower_star(ctx, M, W, e):
-    """I((e(M) :_W I)) pulled back along e; must equal gamma(ctx, M)."""
-    if not is_injective_module(W):
-        raise NotInjectiveAmbient("ambient of the lower star is not injective")
-    if not e.is_injective():
-        raise NotInjectiveAmbient("embedding is not injective")
-    f = M.parent.field
-    eM = e.image()
-    col = colon_submodule(eM, ctx.I, W)
-    S = ideal_times_submodule(ctx.I, col)
-    funcs = linalg.vanishing_functionals(S.basis_matrix, W.dim, f)
-    rows = [linalg.mat_vec(linalg.transpose(e.matrix), phi, f) for phi in funcs]
-    if not rows:
-        return M.full_submodule()
-    return Submodule(M, *linalg.kernel(rows, f))
-
-
-def upper_star(ctx, A, B):
-    """(I*B :_A I) for a submodule B of a free module A."""
-    if not is_free_module(A):
-        raise NotFree("upper star needs a free ambient module")
-    if B.ambient != A:
-        raise NotFree("B must be a submodule of A")
-    IB = ideal_times_submodule(ctx.I, B)
-    return colon_submodule(IB, ctx.I, A)
-
-
-def image_in_quotient(U, proj):
-    """Image of a submodule of M under a projection M -> M/B."""
-    Q = proj.target
-    rows = [proj.apply(v) for v in U.basis_matrix]
-    return submodule_from_spanning(Q, rows)
 
 
 def uniserial_s(ctx, M):

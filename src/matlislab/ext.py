@@ -114,15 +114,13 @@ def extension_from_class(ext_space, cocycle):
     f = A.parent.field
     ModuleMap(ext_space.K_mod, A, cocycle.matrix, check=True)  # NotEquivariant if bad
 
-    D, (inj_a, inj_f), (proj_a, proj_f) = direct_sum(A, cov.free)
-    graph_cols = []
-    for j in range(ext_space.K_mod.dim):
-        e = tuple(f.one if t == j else f.zero for t in range(ext_space.K_mod.dim))
-        a_part = cocycle.apply(e)
-        f_part = ext_space.K_incl.apply(e)
-        vec = inj_f.apply(f_part)
-        neg = inj_a.apply(tuple(f.neg(x) for x in a_part))
-        graph_cols.append(tuple(f.add(u, v) for u, v in zip(vec, neg)))
+    D, (inj_a, _), (_, proj_f) = direct_sum(A, cov.free)
+    # graph column j: minus the cocycle's column j over K_incl's column j
+    graph_cols = [
+        tuple(f.neg(row[j]) for row in cocycle.matrix)
+        + tuple(row[j] for row in ext_space.K_incl.matrix)
+        for j in range(ext_space.K_mod.dim)
+    ]
     graph = submodule_from_spanning(D, graph_cols)
     B, proj_b = quotient_module(D, graph)
 
@@ -130,7 +128,7 @@ def extension_from_class(ext_space, cocycle):
     # the cover surjection kills the graph, so it descends to B
     to_c = cov.epi.compose(proj_f)
     for v in graph.basis_matrix:
-        if any(x != f.zero for x in to_c.apply(v)):
+        if any(to_c.apply(v)):
             raise NotEquivariant("cocycle does not descend")
     pivset = set(graph.pivots)
     free_cols = [j for j in range(D.dim) if j not in pivset]

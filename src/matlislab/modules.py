@@ -529,15 +529,16 @@ def uniserial_chain(M):
 def submodule_as_module(U):
     """The submodule as an FModule of its own, with the inclusion map.
 
-    Coordinates are read off the pivot columns of the echelon basis.
+    Coordinates are read off the pivot columns of the echelon basis, so
+    each action is the pivot rows of the ambient action times the
+    inclusion.
     """
     M = U.ambient
     f = M.parent.field
     incl = linalg.transpose(U.basis_matrix)  # M.dim x U.dim
-    actions = []
-    for act in M.actions:
-        images = [linalg.mat_vec(act, b, f) for b in U.basis_matrix]
-        actions.append(tuple(tuple(img[p] for img in images) for p in U.pivots))
+    actions = [
+        linalg.mat_mul(tuple(act[p] for p in U.pivots), incl, f) for act in M.actions
+    ]
     Umod = FModule(M.parent, actions, check=False)
     return Umod, ModuleMap(Umod, M, incl, check=False)
 

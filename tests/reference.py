@@ -1,0 +1,196 @@
+"""Second routes that check the library, for tests only.
+
+- The Hom routes of the trace and the reject: they solve the full
+  equivariance systems Hom(I, M) and Hom(M, I°), where the library
+  presents I by its syzygies.
+- The Hom-basis test for a surjection I -> R/Ann(I), where the library
+  asks whether the trace leaves the radical.
+- The star operators, the paper's explicit formulas for the trace
+  (through an embedding into an injective module) and the reject (of a
+  quotient of a free module).
+- A rescaled copy of a module, whose actions have denominators over Q.
+- A search for module isomorphisms.  It is randomized over Q and large
+  F_p, so it certifies an isomorphism when it finds one but proves
+  nothing when it does not.
+"""
+
+from matlislab import linalg
+from matlislab.duality import matlis_dual
+from matlislab.errors import NotFree, NotInjectiveAmbient
+from matlislab.ext import free_cover
+from matlislab.modules import (
+    FModule,
+    ModuleMap,
+    Submodule,
+    colon_submodule,
+    hom_space,
+    ideal_times_submodule,
+    quotient_module,
+    radical,
+    submodule_from_spanning,
+)
+from matlislab.randmod import Lcg
+
+
+def hom_gamma(ctx, M):
+    """The trace of I in M: the span of the images of a basis of Hom(I, M)."""
+    rows = []
+    for g in hom_space(ctx.I_mod, M).basis:
+        rows.extend(linalg.transpose(g.matrix))
+    return submodule_from_spanning(M, rows)
+
+
+def hom_kappa(ctx, M):
+    """The reject of I° in M: the joint kernel of a basis of Hom(M, I°)."""
+    H = hom_space(M, matlis_dual(ctx.I_mod))
+    if not H.basis:
+        return M.full_submodule()
+    stacked = linalg.stack(*[g.matrix for g in H.basis])
+    return Submodule(M, *linalg.kernel(stacked, M.parent.field))
+
+
+def hom_epi_onto_r_mod_ann_exists(ctx):
+    """Does some basis map I -> R/Ann(I) have a nonzero composite with
+    the projection onto the top of R/Ann(I)?"""
+    R = ctx.regular
+    ann_sub = Submodule(R, ctx.ann_i.basis_matrix, ctx.ann_i.pivots)
+    Q, _ = quotient_module(R, ann_sub)
+    if Q.dim == 0:
+        return True
+    _, proj_top = quotient_module(Q, radical(Q))
+    for g in hom_space(ctx.I_mod, Q).basis:
+        if not proj_top.compose(g).is_zero():
+            return True
+    return False
+
+
+def is_injective_module(W):
+    """Certificate that W is injective: its dual must be free."""
+    Wd = matlis_dual(W)
+    if Wd.dim == 0:
+        return True
+    return free_cover(Wd).syzygy.dim == 0
+
+
+def is_free_module(A):
+    if A.dim == 0:
+        return True
+    return free_cover(A).syzygy.dim == 0
+
+
+def embed_into_injective(M):
+    """A monomorphism of M into a finite direct sum of copies of E.
+
+    Dualize a free cover of the dual: the dual of the cover surjection
+    composed with evaluation is injective.
+    """
+    Md = matlis_dual(M)
+    cov = free_cover(Md)
+    W = matlis_dual(cov.free)
+    e = ModuleMap(M, W, linalg.transpose(cov.epi.matrix), check=False)
+    return W, e
+
+
+def lower_star(ctx, M, W, e):
+    """I((e(M) :_W I)) pulled back along e; must equal gamma(ctx, M)."""
+    if not is_injective_module(W):
+        raise NotInjectiveAmbient("ambient of the lower star is not injective")
+    if not e.is_injective():
+        raise NotInjectiveAmbient("embedding is not injective")
+    f = M.parent.field
+    eM = e.image()
+    col = colon_submodule(eM, ctx.I, W)
+    S = ideal_times_submodule(ctx.I, col)
+    funcs = linalg.vanishing_functionals(S.basis_matrix, W.dim, f)
+    rows = [linalg.mat_vec(linalg.transpose(e.matrix), phi, f) for phi in funcs]
+    if not rows:
+        return M.full_submodule()
+    return Submodule(M, *linalg.kernel(rows, f))
+
+
+def upper_star(ctx, A, B):
+    """(I*B :_A I) for a submodule B of a free module A."""
+    if not is_free_module(A):
+        raise NotFree("upper star needs a free ambient module")
+    if B.ambient != A:
+        raise NotFree("B must be a submodule of A")
+    IB = ideal_times_submodule(ctx.I, B)
+    return colon_submodule(IB, ctx.I, A)
+
+
+def image_in_quotient(U, proj):
+    """Image of a submodule of M under a projection M -> M/B."""
+    Q = proj.target
+    rows = [proj.apply(v) for v in U.basis_matrix]
+    return submodule_from_spanning(Q, rows)
+
+
+def rescaled(M):
+    """M in the basis scaled by 1/2, 3, 2/7, ...: an isomorphic module whose
+    actions have denominators over Q."""
+    f = M.parent.field
+    scale = [f.of(*(1, 2) if i % 3 == 0 else (3, 1) if i % 3 == 1 else (2, 7))
+             for i in range(M.dim)]
+    d = tuple(tuple(scale[i] if i == j else f.zero for j in range(M.dim))
+              for i in range(M.dim))
+    d_inv = tuple(tuple(f.inv(scale[i]) if i == j else f.zero for j in range(M.dim))
+                  for i in range(M.dim))
+    return FModule(M.parent, [linalg.mat_mul(linalg.mat_mul(d, a, f), d_inv, f)
+                              for a in M.actions])
+
+
+def find_isomorphism(M, N, rng=None, tries=200):
+    """Search Hom(M, N) for an invertible element.
+
+    Returns a ModuleMap or None.  Over Q (and large F_p) failure means
+    "no iso found by the documented search", not a proof of
+    non-isomorphism; callers that need to distinguish should inspect
+    :func:`iso_search_is_exhaustive`.
+    """
+    if M.dim != N.dim:
+        return None
+    if M.dim == 0:
+        return ModuleMap(M, N, (), check=False)
+    f = M.parent.field
+    H = hom_space(M, N)
+    for g in H.basis:
+        if g.rank() == M.dim:
+            return g
+    if H.dim >= 2:
+        p = getattr(f, "p", None)
+        if p is not None and p ** H.dim <= 4096:
+            for idx in range(1, p**H.dim):
+                coeffs = []
+                t = idx
+                for _ in range(H.dim):
+                    coeffs.append(t % p)
+                    t //= p
+                g = _combine(H, coeffs, f)
+                if linalg.rank(g, f) == M.dim:
+                    return ModuleMap(M, N, g, check=False)
+        else:
+            if rng is None:
+                rng = Lcg(0)
+            for _ in range(tries):
+                coeffs = [f.of(rng.randint(5) - 2) for _ in range(H.dim)]
+                g = _combine(H, coeffs, f)
+                if linalg.rank(g, f) == M.dim:
+                    return ModuleMap(M, N, g, check=False)
+    return None
+
+
+def iso_search_is_exhaustive(M, N):
+    f = M.parent.field
+    p = getattr(f, "p", None)
+    if p is None:
+        return False
+    return p ** hom_space(M, N).dim <= 4096
+
+
+def _combine(H, coeffs, f):
+    n, m = H.target.dim, H.source.dim
+    out = linalg.zeros(n, m, f)
+    for c, g in zip(coeffs, H.basis):
+        if c != f.zero:
+            out = linalg.mat_add(out, linalg.mat_scale(c, g.matrix, f), f)
+    return out

