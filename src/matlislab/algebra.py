@@ -334,9 +334,6 @@ class Ideal:
     def dim(self):
         return len(self.basis_matrix)
 
-    def is_zero(self):
-        return self.dim == 0
-
     def is_whole_ring(self):
         return self.dim == self.parent.dim
 
@@ -365,10 +362,6 @@ class Ideal:
 def _ideal_from_rows(A, rows):
     red, pivots = linalg.rref(rows, A.field) if rows else ((), ())
     return Ideal(A, red, pivots)
-
-
-def zero_ideal(A):
-    return Ideal(A, (), ())
 
 
 def unit_ideal(A):
@@ -402,12 +395,6 @@ def ideal_product(I, J):
         A.multiply(u, v) for u in I.basis_matrix for v in J.basis_matrix
     ]
     return _ideal_from_rows(A, rows)
-
-
-def ideal_sum(I, J):
-    if I.parent is not J.parent:
-        raise ParentMismatch("ideal sum across different algebras")
-    return _ideal_from_rows(I.parent, list(I.basis_matrix) + list(J.basis_matrix))
 
 
 def annihilator_of_ideal(I):

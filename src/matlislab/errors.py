@@ -37,10 +37,6 @@ class NotEquivariant(MatlisLabError):
     pass
 
 
-class NotInjectiveAmbient(MatlisLabError):
-    pass
-
-
 class NotFree(MatlisLabError):
     pass
 

@@ -75,13 +75,6 @@ class Ext1Space:
         self.dim = dim
         self.representatives = tuple(representatives)
 
-    def zero_cocycle(self):
-        f = self.A.parent.field
-        return ModuleMap(
-            self.K_mod, self.A, linalg.zeros(self.A.dim, self.K_mod.dim, f),
-            check=False,
-        )
-
 
 def ext1(C, A, cover=None):
     """Hom(K, A) modulo restrictions from Hom(F, A)."""

@@ -62,10 +62,8 @@ from .fields import field_from_spec
 from .modules import (
     FModule,
     cokernel_of_presentation,
-    quotient_module,
     regular_module,
     residue_field_module,
-    generated_submodule,
 )
 from . import linalg
 
@@ -227,9 +225,7 @@ def _build_module(A, field, nvars, mname, spec):
             A.element_from_terms(_term_list(field, g, nvars, where))
             for g in _json(spec.get("by", []), list, "%s: by" % where)
         ]
-        R = regular_module(A)
-        sub = generated_submodule(R, gens)
-        return quotient_module(R, sub)[0]
+        return cokernel_of_presentation(A, 1, gens)
     if kind == "presentation":
         rank = _integer(spec.get("rank"), "%s: rank" % where, minimum=0)
         if rank * A.dim > MAX_MODULE_DIM:
@@ -247,7 +243,7 @@ def _build_module(A, field, nvars, mname, spec):
             for entry in col:
                 vec.extend(A.element_from_terms(_term_list(field, entry, nvars, where)))
             cols.append(tuple(vec))
-        return cokernel_of_presentation(A, rank, cols)[0]
+        return cokernel_of_presentation(A, rank, cols)
     if kind == "explicit":
         dim = _integer(spec.get("dim"), "%s: dim" % where, minimum=0)
         if dim > MAX_MODULE_DIM:

@@ -422,7 +422,3 @@ def vanishing_functionals(rows, ncols, field):
     if not rows:
         return identity(ncols, field)
     return nullspace(rows, field)
-
-
-def is_zero_matrix(a, field):
-    return not any(x for row in a for x in row)

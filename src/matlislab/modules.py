@@ -12,6 +12,7 @@ action; equality of submodules is representation equality.
 from . import linalg
 from .algebra import Ideal, minimal_generators, unit_ideal
 from .errors import (
+    DimensionMismatch,
     NotASubmodule,
     NotEquivariant,
     NotUniserial,
@@ -112,9 +113,6 @@ class Submodule:
     def dim(self):
         return len(self.basis_matrix)
 
-    def is_zero(self):
-        return self.dim == 0
-
     def contains(self, vec):
         return linalg.in_row_space(
             self.basis_matrix, self.pivots, vec, self.ambient.parent.field
@@ -182,9 +180,6 @@ class ModuleMap:
 
     def is_surjective(self):
         return self.rank() == self.target.dim
-
-    def is_zero(self):
-        return linalg.is_zero_matrix(self.matrix, self.source.parent.field)
 
     def image(self):
         return submodule_from_spanning(self.target, linalg.transpose(self.matrix))
@@ -297,25 +292,6 @@ def annihilator_submodule(M, a):
     return Submodule(M, *linalg.kernel(stacked, f))
 
 
-def colon_submodule(N, I, M):
-    """(N :_M I) = {v | g v in N for every generator g of I}."""
-    if N.ambient != M:
-        raise NotASubmodule("colon needs N to be a submodule of M")
-    f = M.parent.field
-    gens = minimal_generators(I)
-    if not gens:
-        return M.full_submodule()
-    funcs = linalg.vanishing_functionals(N.basis_matrix, M.dim, f)
-    rows = []
-    for g in gens:
-        act = M.action_of(g)
-        for phi in funcs:
-            rows.append(linalg.mat_vec(linalg.transpose(act), phi, f))
-    if not rows:
-        return M.full_submodule()
-    return Submodule(M, *linalg.kernel(rows, f))
-
-
 def ann_ring(M):
     """Ann_R(M) = {r | r acts as zero}, as an Ideal."""
     A = M.parent
@@ -368,6 +344,27 @@ def hom_space(M, N):
     return HomSpace(M, N, basis)
 
 
+def _projection(red, pivots, n, f):
+    """The free columns of an echelon basis of a subspace of k^n, and the
+    projection of k^n onto them: v -> normal form of v modulo the
+    subspace, restricted to the free columns.
+
+    Column j of the projection is the unit vector of j when j is free
+    and minus the free entries of echelon row i when j is its pivot
+    column c_i.
+    """
+    pivset = set(pivots)
+    free = [j for j in range(n) if j not in pivset]
+    proj = []
+    for j in free:
+        row = [f.zero] * n
+        row[j] = f.one
+        for b, c in zip(red, pivots):
+            row[c] = f.neg(b[j])
+        proj.append(tuple(row))
+    return free, tuple(proj)
+
+
 def quotient_module(M, U):
     """M/U with the canonical projection.
 
@@ -376,20 +373,7 @@ def quotient_module(M, U):
     if U.ambient != M:
         raise NotASubmodule("quotient by a non-submodule")
     f = M.parent.field
-    pivset = set(U.pivots)
-    free = [j for j in range(M.dim) if j not in pivset]
-    # projection: v -> normal form of v modulo U, restricted to free
-    # columns.  Column j of proj is the unit vector of j when j is free
-    # and minus the free entries of U's echelon row i when j is its
-    # pivot column c_i.
-    proj = []
-    for j in free:
-        row = [f.zero] * M.dim
-        row[j] = f.one
-        for b, c in zip(U.basis_matrix, U.pivots):
-            row[c] = f.neg(b[j])
-        proj.append(tuple(row))
-    proj = tuple(proj)
+    free, proj = _projection(U.basis_matrix, U.pivots, M.dim, f)
     # lifting quotient coordinate a to the unit vector at free[a] picks
     # out the free columns of each action
     actions = []
@@ -461,29 +445,6 @@ def radical(M):
     return ideal_times_module(M.parent.max_ideal, M)
 
 
-def is_essential(U, M):
-    """At finite length over a local algebra: U contains the socle.
-
-    Every nonzero submodule contains a simple submodule, and all simples
-    sit inside the socle, so meeting every nonzero submodule is
-    equivalent to containing socle(M).
-    """
-    if U.ambient != M:
-        raise NotASubmodule("essential test needs a submodule of M")
-    return U.contains_submodule(socle(M))
-
-
-def is_small(U, M):
-    """At finite length over a local ring: U lies inside the radical.
-
-    The radical is the unique maximal submodule's intersection; U + V = M
-    with V proper would force U to cover the top, i.e. escape m*M.
-    """
-    if U.ambient != M:
-        raise NotASubmodule("small test needs a submodule of M")
-    return radical(M).contains_submodule(U)
-
-
 def submodule_sum(U, V):
     if U.ambient != V.ambient:
         raise NotASubmodule("sum of submodules of different modules")
@@ -546,13 +507,53 @@ def submodule_as_module(U):
 def cokernel_of_presentation(A, rank, columns):
     """The module R^rank / (columns), columns being vectors of R^rank.
 
-    This is the cokernel of a presentation matrix over R.
+    This is the cokernel of a presentation matrix over R, read off the
+    multiplication table T of R with no free module built.  With
+    d = dim(R), coordinate s*d + m of R^rank is e_(s,m) = e_s (x) b_m,
+    so b_k * e_(s,m) = e_s (x) b_k*b_m, whose coordinates T[k][m] sit in
+    slot s:
+
+    - R*c is spanned by the b_k*c, computed slot by slot as b_k*c_s;
+    - column (s, m) of the action of b_k on the quotient is
+      sum_l T[k][m][l] proj[:, s*d + l], a gather of projection columns.
+      On a monomial algebra T[k][m] is 0 or one basis element, so each
+      column is zero or one column of the projection.
+
+    Raises DimensionMismatch for a column whose length is not rank*d.
     """
-    R = regular_module(A)
-    free, _ = direct_power(R, rank)
-    if columns:
-        sub = generated_submodule(free, [tuple(c) for c in columns])
-    else:
-        sub = free.zero_submodule()
-    Q, proj = quotient_module(free, sub)
-    return Q, free, sub, proj
+    f = A.field
+    d = A.dim
+    n = rank * d
+    # entry k*d + l of stacked . c_s is coordinate l of b_k*c_s
+    stacked = linalg.stack(*A.left_mult)
+    rows = []
+    for c in columns:
+        if len(c) != n:
+            raise DimensionMismatch(
+                "presentation column of length %d, need %d" % (len(c), n)
+            )
+        prods = [linalg.mat_vec(stacked, c[s * d:(s + 1) * d], f) for s in range(rank)]
+        for lo in range(0, d * d, d):
+            row = []
+            for p in prods:
+                row.extend(p[lo:lo + d])
+            rows.append(row)
+    red, pivots = linalg.rref(rows, f)
+    free, proj = _projection(red, pivots, n, f)
+    proj_cols = linalg.transpose(proj)
+    zero = (f.zero,) * len(free)
+    actions = []
+    for table in A.mult_table:
+        cols = []
+        for j in free:
+            s, m = divmod(j, d)
+            col = zero
+            for l, c in enumerate(table[m]):
+                if c:
+                    v = proj_cols[s * d + l]
+                    if c != f.one:
+                        v = [f.mul(c, x) for x in v]
+                    col = v if col is zero else tuple(map(f.add, col, v))
+            cols.append(col)
+        actions.append(linalg.transpose(cols))
+    return FModule(A, actions, check=False)

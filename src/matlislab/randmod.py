@@ -68,7 +68,9 @@ def random_module(A, rng, max_rank=2):
     """A random finite-length module: cokernel of a random presentation.
 
     R^t / (columns), t <= max_rank, with random relation columns; the
-    dimension is bounded by t * dim(A).
+    dimension is bounded by t * dim(A).  The module is read off the
+    multiplication table, as b_k * e_(s,m) = e_s (x) b_k*b_m (see
+    :func:`cokernel_of_presentation`), so no free module is built.
     """
     t = 1 + rng.randint(max_rank)
     nrels = rng.randint(2 * t + 1)
@@ -78,8 +80,7 @@ def random_module(A, rng, max_rank=2):
         for _ in range(t):
             col.extend(random_nonunit_element(A, rng))
         cols.append(tuple(col))
-    Q, _, _, _ = cokernel_of_presentation(A, t, cols)
-    return Q
+    return cokernel_of_presentation(A, t, cols)
 
 
 def random_submodule(M, rng, max_gens=2):

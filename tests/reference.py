@@ -8,6 +8,11 @@
 - The star operators, the paper's explicit formulas for the trace
   (through an embedding into an injective module) and the reject (of a
   quotient of a free module).
+- The cokernel R^t/(columns) by the free module: the block-diagonal
+  R^t, the submodule its columns generate, and the quotient by it.  The
+  library reads the cokernel off the multiplication table.
+- Constructions only tests use: the zero ideal, sums of ideals, colon
+  submodules, the essential and small tests, and the zero cocycle.
 - A rescaled copy of a module, whose actions have denominators over Q.
 - A search for module isomorphisms.  It is randomized over Q and large
   F_p, so it certifies an isomorphism when it finds one but proves
@@ -15,21 +20,102 @@
 """
 
 from matlislab import linalg
+from matlislab.algebra import Ideal, minimal_generators
 from matlislab.duality import matlis_dual
-from matlislab.errors import NotFree, NotInjectiveAmbient
+from matlislab.errors import MatlisLabError, NotASubmodule, NotFree, ParentMismatch
 from matlislab.ext import free_cover
 from matlislab.modules import (
     FModule,
     ModuleMap,
     Submodule,
-    colon_submodule,
+    direct_power,
+    generated_submodule,
     hom_space,
     ideal_times_submodule,
     quotient_module,
     radical,
+    regular_module,
+    socle,
     submodule_from_spanning,
 )
 from matlislab.randmod import Lcg
+
+
+class NotInjectiveAmbient(MatlisLabError):
+    """The lower star was asked for in an ambient that is not injective."""
+
+
+def cokernel_by_free_module(A, rank, columns):
+    """R^rank / (columns) as the quotient of the block-diagonal free
+    module by the submodule its columns generate."""
+    free, _ = direct_power(regular_module(A), rank)
+    if columns:
+        sub = generated_submodule(free, [tuple(c) for c in columns])
+    else:
+        sub = free.zero_submodule()
+    return quotient_module(free, sub)[0]
+
+
+def zero_ideal(A):
+    return Ideal(A, (), ())
+
+
+def ideal_sum(I, J):
+    if I.parent is not J.parent:
+        raise ParentMismatch("ideal sum across different algebras")
+    rows = list(I.basis_matrix) + list(J.basis_matrix)
+    return Ideal(I.parent, *linalg.rref(rows, I.parent.field))
+
+
+def colon_submodule(N, I, M):
+    """(N :_M I) = {v | g v in N for every generator g of I}."""
+    if N.ambient != M:
+        raise NotASubmodule("colon needs N to be a submodule of M")
+    f = M.parent.field
+    gens = minimal_generators(I)
+    if not gens:
+        return M.full_submodule()
+    funcs = linalg.vanishing_functionals(N.basis_matrix, M.dim, f)
+    rows = []
+    for g in gens:
+        act = M.action_of(g)
+        for phi in funcs:
+            rows.append(linalg.mat_vec(linalg.transpose(act), phi, f))
+    if not rows:
+        return M.full_submodule()
+    return Submodule(M, *linalg.kernel(rows, f))
+
+
+def is_essential(U, M):
+    """At finite length over a local algebra: U contains the socle.
+
+    Every nonzero submodule contains a simple submodule, and all simples
+    sit inside the socle, so meeting every nonzero submodule is
+    equivalent to containing socle(M).
+    """
+    if U.ambient != M:
+        raise NotASubmodule("essential test needs a submodule of M")
+    return U.contains_submodule(socle(M))
+
+
+def is_small(U, M):
+    """At finite length over a local ring: U lies inside the radical.
+
+    The radical is the unique maximal submodule's intersection; U + V = M
+    with V proper would force U to cover the top, i.e. escape m*M.
+    """
+    if U.ambient != M:
+        raise NotASubmodule("small test needs a submodule of M")
+    return radical(M).contains_submodule(U)
+
+
+def zero_cocycle(space):
+    """The zero cocycle K -> A of an Ext^1(C, A) space."""
+    f = space.A.parent.field
+    return ModuleMap(
+        space.K_mod, space.A, linalg.zeros(space.A.dim, space.K_mod.dim, f),
+        check=False,
+    )
 
 
 def hom_gamma(ctx, M):
@@ -59,7 +145,7 @@ def hom_epi_onto_r_mod_ann_exists(ctx):
         return True
     _, proj_top = quotient_module(Q, radical(Q))
     for g in hom_space(ctx.I_mod, Q).basis:
-        if not proj_top.compose(g).is_zero():
+        if any(x for row in proj_top.compose(g).matrix for x in row):
             return True
     return False
 

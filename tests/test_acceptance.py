@@ -9,13 +9,18 @@ import time
 
 import pytest
 
-from reference import embed_into_injective, image_in_quotient, lower_star, upper_star
+from reference import (
+    embed_into_injective,
+    image_in_quotient,
+    lower_star,
+    upper_star,
+    zero_ideal,
+)
 from matlislab.algebra import (
     Presentation,
     build_algebra,
     ideal_from_generators,
     unit_ideal,
-    zero_ideal,
 )
 from matlislab.classes import (
     ClassContext,

@@ -2,9 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from reference import embed_into_injective, image_in_quotient, lower_star, upper_star
+from reference import (
+    embed_into_injective,
+    image_in_quotient,
+    lower_star,
+    upper_star,
+    zero_ideal,
+)
 from matlislab import classes
-from matlislab.algebra import ideal_from_generators, unit_ideal, zero_ideal
+from matlislab.algebra import ideal_from_generators, unit_ideal
 from matlislab.classes import (
     ClassContext,
     duality_transfer,

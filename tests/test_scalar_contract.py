@@ -2,7 +2,8 @@
 denominator is not 1.
 
 Every field operation of ``QQ`` and every ``linalg`` result over Q keeps
-to it, and so does every module the shipped Q fixtures build.
+to it, and so does every module the shipped Q fixtures and a non-monomial
+Q algebra build.
 """
 
 import random
@@ -23,7 +24,8 @@ from matlislab.modules import (
 )
 from matlislab.randmod import Lcg, random_module
 
-Q_FIXTURES = ["R3", "KXY", "V2"]
+# QXY-sums has products of basis elements with two Fraction terms
+Q_FIXTURES = ["R3", "KXY", "V2", "QXY-sums"]
 
 
 def _is_q_scalar(x):
@@ -128,8 +130,8 @@ def _modules(fx):
 
 
 @pytest.mark.parametrize("name", Q_FIXTURES)
-def test_fixture_modules_keep_the_contract(fixtures, name):
-    fx = fixtures[name]
+def test_fixture_modules_keep_the_contract(fixtures, extra_fixtures, name):
+    fx = {**fixtures, **extra_fixtures}[name]
     A = fx.algebra
     assert A.field is QQ
     for table in A.mult_table:

@@ -16,13 +16,13 @@ from reference import (
     lower_star,
     rescaled,
     upper_star,
+    zero_ideal,
 )
 from matlislab import linalg
 from matlislab.algebra import (
     ideal_from_generators,
     minimal_generators,
     unit_ideal,
-    zero_ideal,
 )
 from matlislab.classes import ClassContext, epi_onto_r_mod_ann_exists, gamma, kappa
 from matlislab.duality import matlis_dual
