@@ -51,3 +51,7 @@ class FixtureParseError(MatlisLabError):
 
 class FixtureValidationError(MatlisLabError):
     """Well-formed fixture violating a structural invariant."""
+
+
+class CoverMismatch(MatlisLabError):
+    """A free cover was given for another module than the one asked about."""

@@ -4,12 +4,32 @@ Ext^1(C, A) is computed from a free cover 0 -> K -> F -> C -> 0 as
 Hom(K, A) modulo the restrictions of Hom(F, A); a representative cocycle
 K -> A is turned into an extension module by the pushout
 B = (A + F) / {(-c(w), w) | w in K}.
+
+The cover is F = R^t with d = dim(R), and coordinate s*d + m of F is
+e_s (x) b_m.  A map F -> A is fixed by the images of e_1, ..., e_t, so
+Hom(R^t, A) = A^t (Eisenbud, GTM 150, on Hom of free modules): the map
+phi_(s,j) sending e_s to the unit vector e_j of A, and the other e_s'
+to 0, sends e_(s,m) to b_m * e_j, which is column j of the action of
+b_m.  Its restriction to K is P_j * W_s, where
+
+- P_j is the dim(A) x d matrix with P_j[a][m] = entry (a, j) of the
+  action of b_m;
+- W_s is rows s*d .. s*d + d - 1 of the inclusion K -> F.
+
+So the restrictions need no Hom(F, A) system, and K, which depends only
+on the cover, is built once with it.
 """
 
 from . import linalg
 from .classes import is_p_member, is_s_member
 from .duality import matlis_dual
-from .errors import MatlisLabError, NotEquivariant, ParentMismatch
+from .errors import (
+    CoverMismatch,
+    DimensionMismatch,
+    MatlisLabError,
+    NotEquivariant,
+    ParentMismatch,
+)
 from .modules import (
     ModuleMap,
     direct_power,
@@ -25,14 +45,24 @@ from .randmod import Lcg, random_submodule
 
 
 class FreeCover:
-    """A minimal surjection from a free module, with its kernel."""
+    """A surjection R^rank -> module, with its kernel K as a module.
 
-    def __init__(self, module, free, epi, syzygy, injections):
+    R^rank is the block-diagonal direct power, so coordinate s*d + m is
+    e_s (x) b_m; ext1 reads the inclusion of K in those slots.
+    """
+
+    def __init__(self, module, rank, epi):
+        free, _ = direct_power(regular_module(module.parent), rank)
+        if epi.source != free or epi.target != module:
+            raise DimensionMismatch("a cover map goes from R^rank to the module")
+        if module.dim and not epi.is_surjective():
+            raise MatlisLabError("free cover is not surjective")
         self.module = module
+        self.rank = rank
         self.free = free
         self.epi = epi
-        self.syzygy = syzygy
-        self.injections = injections
+        self.syzygy = epi.kernel()
+        self.K_mod, self.K_incl = submodule_as_module(self.syzygy)
 
 
 def free_cover(M):
@@ -46,53 +76,53 @@ def free_cover(M):
     units = linalg.identity(M.dim, f)
     keep = linalg.extend_basis(radical(M).basis_matrix, units, f)
     lifts = [units[j] for j in keep]
-    t = len(lifts)
-    R = regular_module(A)
-    free, injections = direct_power(R, t)
+    free, _ = direct_power(regular_module(A), len(lifts))
     cols = []
     for v in lifts:
         for j in range(A.dim):
             cols.append(linalg.mat_vec(M.actions[j], v, f))
     matrix = linalg.transpose(tuple(cols)) if cols else tuple(() for _ in range(M.dim))
-    epi = ModuleMap(free, M, matrix, check=False)
-    if M.dim and not epi.is_surjective():
-        raise MatlisLabError("free cover is not surjective")
-    syz = epi.kernel()
-    if not radical(free).contains_submodule(syz):
+    cov = FreeCover(M, len(lifts), ModuleMap(free, M, matrix, check=False))
+    if not radical(cov.free).contains_submodule(cov.syzygy):
         raise MatlisLabError("free cover is not minimal")
-    return FreeCover(M, free, epi, syz, injections)
+    return cov
 
 
 class Ext1Space:
     """Ext^1(C, A): dimension and representative cocycles K -> A."""
 
-    def __init__(self, C, A, cover, K_mod, K_incl, dim, representatives):
+    def __init__(self, C, A, cover, dim, representatives):
         self.C = C
         self.A = A
         self.cover = cover
-        self.K_mod = K_mod
-        self.K_incl = K_incl
+        self.K_mod = cover.K_mod
+        self.K_incl = cover.K_incl
         self.dim = dim
         self.representatives = tuple(representatives)
 
 
 def ext1(C, A, cover=None):
-    """Hom(K, A) modulo restrictions from Hom(F, A)."""
+    """Hom(K, A) modulo the restrictions of Hom(R^t, A) = A^t."""
     if C.parent is not A.parent:
         raise ParentMismatch("Ext across different algebras")
-    f = A.parent.field
     cov = cover if cover is not None else free_cover(C)
-    K_mod, K_incl = submodule_as_module(cov.syzygy)
-    hom_ka = hom_space(K_mod, A)
-    if K_mod.dim == 0 or A.dim == 0:
-        return Ext1Space(C, A, cov, K_mod, K_incl, 0, ())
+    if cov.module != C:
+        raise CoverMismatch("the cover is of another module than C")
+    f = A.parent.field
+    hom_ka = hom_space(cov.K_mod, A)
+    if cov.K_mod.dim == 0 or A.dim == 0:
+        return Ext1Space(C, A, cov, 0, ())
+    n, d = A.dim, A.parent.dim
+    # the P_j stacked: row j*n + a holds P_j[a]
+    P = tuple(tuple(act[a][j] for act in A.actions) for j in range(n) for a in range(n))
     restr_rows = []
-    for g in hom_space(cov.free, A).basis:
-        mat = linalg.mat_mul(g.matrix, K_incl.matrix, f)
-        restr_rows.append(tuple(x for row in mat for x in row))
+    for s in range(cov.rank):
+        PW = linalg.mat_mul(P, cov.K_incl.matrix[s * d:(s + 1) * d], f)
+        for j in range(0, n * n, n):
+            restr_rows.append(tuple(x for row in PW[j:j + n] for x in row))
     vecs = [tuple(x for row in h.matrix for x in row) for h in hom_ka.basis]
     reps = [hom_ka.basis[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
-    return Ext1Space(C, A, cov, K_mod, K_incl, len(reps), reps)
+    return Ext1Space(C, A, cov, len(reps), reps)
 
 
 def extension_from_class(ext_space, cocycle):
@@ -105,6 +135,9 @@ def extension_from_class(ext_space, cocycle):
     C = ext_space.C
     cov = ext_space.cover
     f = A.parent.field
+    k = ext_space.K_mod.dim
+    if len(cocycle.matrix) != A.dim or any(len(row) != k for row in cocycle.matrix):
+        raise DimensionMismatch("a cocycle is a dim(A) x dim(K) matrix")
     ModuleMap(ext_space.K_mod, A, cocycle.matrix, check=True)  # NotEquivariant if bad
 
     D, (inj_a, _), (_, proj_f) = direct_sum(A, cov.free)

@@ -11,6 +11,9 @@
 - The cokernel R^t/(columns) by the free module: the block-diagonal
   R^t, the submodule its columns generate, and the quotient by it.  The
   library reads the cokernel off the multiplication table.
+- Ext^1(C, A) by the full Hom(F, A) system of the cover F = R^t,
+  restricted to a K rebuilt from the syzygy.  The library reads
+  Hom(R^t, A) as A^t and keeps K on the cover.
 - Constructions only tests use: the zero ideal, sums of ideals, colon
   submodules, the essential and small tests, and the zero cocycle.
 - A rescaled copy of a module, whose actions have denominators over Q.
@@ -36,6 +39,7 @@ from matlislab.modules import (
     radical,
     regular_module,
     socle,
+    submodule_as_module,
     submodule_from_spanning,
 )
 from matlislab.randmod import Lcg
@@ -54,6 +58,27 @@ def cokernel_by_free_module(A, rank, columns):
     else:
         sub = free.zero_submodule()
     return quotient_module(free, sub)[0]
+
+
+class Ext1ByHomOfFree:
+    """Ext^1(C, A) as Hom(K, A) modulo the restrictions of a basis of
+    hom_space(F, A), with the same attributes as the library's Ext1Space."""
+
+    def __init__(self, C, A, cover):
+        f = A.parent.field
+        self.C, self.A, self.cover = C, A, cover
+        self.K_mod, self.K_incl = submodule_as_module(cover.syzygy)
+        hom_ka = hom_space(self.K_mod, A)
+        reps = []
+        if self.K_mod.dim and A.dim:
+            restr_rows = []
+            for g in hom_space(cover.free, A).basis:
+                mat = linalg.mat_mul(g.matrix, self.K_incl.matrix, f)
+                restr_rows.append(tuple(x for row in mat for x in row))
+            vecs = [tuple(x for row in h.matrix for x in row) for h in hom_ka.basis]
+            reps = [hom_ka.basis[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
+        self.dim = len(reps)
+        self.representatives = tuple(reps)
 
 
 def zero_ideal(A):

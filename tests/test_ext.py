@@ -1,9 +1,12 @@
 import pytest
 
-from reference import find_isomorphism, rescaled, zero_cocycle, zero_ideal
+from reference import Ext1ByHomOfFree, find_isomorphism, rescaled, zero_cocycle, zero_ideal
+from matlislab import linalg
 from matlislab.classes import is_p_member, is_s_member
-from matlislab.errors import NotEquivariant
+from matlislab.duality import matlis_dual
+from matlislab.errors import CoverMismatch, DimensionMismatch, NotEquivariant
 from matlislab.ext import (
+    FreeCover,
     SearchVerdict,
     ext1,
     extension_from_class,
@@ -13,6 +16,7 @@ from matlislab.ext import (
 from matlislab.algebra import unit_ideal
 from matlislab.classes import ClassContext
 from matlislab.modules import (
+    ModuleMap,
     direct_power,
     direct_sum,
     generated_submodule,
@@ -20,7 +24,9 @@ from matlislab.modules import (
     radical,
     regular_module,
     residue_field_module,
+    socle,
     submodule_from_spanning,
+    zero_module,
 )
 from matlislab.randmod import Lcg, random_module
 
@@ -123,25 +129,139 @@ def test_extension_graph_matches_unit_vector_route(fixtures, name):
     assert built
 
 
-def test_ext_dim_invariant_under_nonminimal_cover(r3):
-    from matlislab.ext import FreeCover
-    from matlislab.modules import direct_sum, ModuleMap
-    from matlislab import linalg
+def _fattened(cov, first):
+    """The cover with one more free summand, mapped to zero, put before
+    (first) or after the summands of ``cov``."""
+    R = regular_module(cov.module.parent)
+    f = R.parent.field
+    if first:
+        big, _, (_, to_cov) = direct_sum(R, cov.free)
+    else:
+        big, _, (to_cov, _) = direct_sum(cov.free, R)
+    epi = ModuleMap(big, cov.module, linalg.mat_mul(cov.epi.matrix, to_cov.matrix, f), check=False)
+    return FreeCover(cov.module, cov.rank + 1, epi)
 
+
+def test_ext_dim_invariant_under_nonminimal_cover(r3):
     A = r3.algebra
-    f = A.field
     rng = Lcg(17)
     for _ in range(5):
         C = random_module(A, rng)
         Aend = random_module(A, rng)
         d_min = ext1(C, Aend).dim
-        # fatten the cover with a redundant free summand mapping to zero
         cov = free_cover(C)
-        R = regular_module(A)
-        big, (i1, i2), (p1, p2) = direct_sum(cov.free, R)
-        epi = ModuleMap(big, C, linalg.mat_mul(cov.epi.matrix, p1.matrix, f), check=False)
-        fat = FreeCover(C, big, epi, epi.kernel(), None)
-        assert ext1(C, Aend, cover=fat).dim == d_min
+        for first in (False, True):
+            fat = _fattened(cov, first)
+            assert fat.syzygy.dim == cov.syzygy.dim + A.dim
+            assert ext1(C, Aend, cover=fat).dim == d_min
+
+
+def test_free_cover_rejects_map_not_from_r_power_to_module(r3):
+    A = r3.algebra
+    k = residue_field_module(A)
+    cov = free_cover(k)
+    fat = _fattened(cov, False)
+    with pytest.raises(DimensionMismatch):
+        FreeCover(k, cov.rank, fat.epi)
+    with pytest.raises(DimensionMismatch):
+        FreeCover(k, 1, ModuleMap(k, k, ((A.field.one,),), check=False))
+    Q, proj = quotient_module(cov.free, socle(cov.free))
+    with pytest.raises(DimensionMismatch):
+        FreeCover(k, cov.rank, proj)
+    assert FreeCover(Q, cov.rank, proj).syzygy == socle(cov.free)
+
+
+def test_ext1_rejects_cover_of_another_module(kxy):
+    # read through these covers, the space would be Ext^1(I, k), of
+    # dimension 3, or Ext^1(E, k), of dimension 0
+    A = kxy.algebra
+    k = residue_field_module(A)
+    assert ext1(k, k).dim == 2
+    for X in (kxy.ctx.I_mod, matlis_dual(regular_module(A))):
+        with pytest.raises(CoverMismatch):
+            ext1(k, k, cover=free_cover(X))
+
+
+def test_extension_rejects_wrong_shape_cocycle(kxy):
+    A = kxy.algebra
+    f = A.field
+    k = residue_field_module(A)
+    es = ext1(k, k)
+    h = es.representatives[0]
+    for matrix in (
+        tuple(row + (f.one,) for row in h.matrix),
+        tuple(() for _ in h.matrix),
+    ):
+        with pytest.raises(DimensionMismatch):
+            extension_from_class(es, ModuleMap(es.K_mod, k, matrix, check=False))
+
+
+def _typed(matrix):
+    return [[(type(x), x) for x in row] for row in matrix]
+
+
+EXT_ALGEBRAS = ["R3", "R4", "KXY", "V2", "dim10-Q", "dim10-F101", "QXY-sums"]
+
+
+@pytest.mark.parametrize("name", EXT_ALGEBRAS)
+def test_ext1_matches_hom_of_free_route(fixtures, extra_fixtures, name):
+    """Restrictions read from A^t give the same Ext^1 as the full
+    Hom(F, A) system: dimension, representatives with their scalar
+    types, K, and the extension of the first representative."""
+    fx = {**fixtures, **extra_fixtures}[name]
+    A = fx.algebra
+    rng = Lcg(29)
+    k = residue_field_module(A)
+    R = regular_module(A)
+    E = matlis_dual(R)
+    I = fx.ctx.I_mod
+    rand = [random_module(A, rng) for _ in range(2)]
+    sources = [zero_module(A), k, direct_power(k, 2)[0], direct_power(k, 3)[0], R, I, E] + rand
+    targets = [zero_module(A), k, I, E, rand[1]]
+    covers = [free_cover(C) for C in sources]
+    covers += [_fattened(covers[2], True), _fattened(covers[-1], False)]
+    assert {1, 2, 3} <= {cov.rank for cov in covers}
+    nonzero = 0
+    for cov in covers:
+        C = cov.module
+        for Aend in targets:
+            got = ext1(C, Aend, cover=cov)
+            want = Ext1ByHomOfFree(C, Aend, cov)
+            assert got.dim == want.dim
+            assert [_typed(h.matrix) for h in got.representatives] == [
+                _typed(h.matrix) for h in want.representatives
+            ]
+            assert got.K_mod == want.K_mod
+            assert [_typed(a) for a in got.K_mod.actions] == [_typed(a) for a in want.K_mod.actions]
+            assert _typed(got.K_incl.matrix) == _typed(want.K_incl.matrix)
+            if got.dim:
+                nonzero += 1
+                B, _, _ = extension_from_class(got, got.representatives[0])
+                B_ref, _, _ = extension_from_class(want, want.representatives[0])
+                assert [_typed(a) for a in B.actions] == [_typed(a) for a in B_ref.actions]
+    assert nonzero
+
+
+def test_ext1_solves_one_hom_system_and_builds_k_once_per_cover(kxy, monkeypatch):
+    import matlislab.ext as ext_mod
+
+    calls = {"hom_space": 0, "submodule_as_module": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(ext_mod, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ext_mod, name, counted)
+    A = kxy.algebra
+    k = residue_field_module(A)
+    R = regular_module(A)
+    targets = [zero_module(A), k, kxy.ctx.I_mod, R, matlis_dual(R)]
+    cov = free_cover(kxy.ctx.I_mod)
+    assert calls == {"hom_space": 0, "submodule_as_module": 1}
+    for Aend in targets:
+        ext1(kxy.ctx.I_mod, Aend, cover=cov)
+    assert calls == {"hom_space": len(targets), "submodule_as_module": 1}
+    ext1(k, kxy.ctx.I_mod)
+    assert calls == {"hom_space": len(targets) + 1, "submodule_as_module": 2}
 
 
 def test_cocycle_must_be_equivariant(r3):
