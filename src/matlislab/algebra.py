@@ -105,6 +105,10 @@ class Algebra:
             tuple(range(1, self.dim)),
         )
         self._monomial_nf = {}
+        # data derived from an ideal, keyed by its basis_matrix: equal
+        # ideals have equal canonical bases, so they share one entry
+        self._generators_memo = {}
+        self._context_memo = {}  # filled by classes.class_context
 
     def zero(self):
         return tuple(self.field.zero for _ in range(self.dim))
@@ -321,14 +325,16 @@ def _validate_algebra(A):
 class Ideal:
     """A canonical subspace of the regular module, closed under the action.
 
-    Immutable after construction, so derived data is memoized on it.
+    Immutable after construction.  Its canonical basis_matrix determines
+    it, so data derived from it is memoized by value, not on the object:
+    on the parent algebra (minimal generators, class contexts) and on the
+    modules it acts on (I*M and M[I]), each keyed by basis_matrix.
     """
 
     def __init__(self, parent, basis_matrix, pivots):
         self.parent = parent
         self.basis_matrix = tuple(tuple(r) for r in basis_matrix)
         self.pivots = tuple(pivots)
-        self._minimal_generators = None
 
     @property
     def dim(self):
@@ -416,11 +422,15 @@ def annihilator_of_ideal(I):
 def minimal_generators(I):
     """A minimal generating set: basis rows independent modulo m*I.
 
-    Computed once per Ideal and kept on it.
+    Computed once per distinct ideal: kept in a dict on the parent
+    algebra keyed by basis_matrix, so an equal Ideal object gets the
+    same tuple.
     """
-    if I._minimal_generators is None:
-        I._minimal_generators = _minimal_generators(I)
-    return I._minimal_generators
+    memo = I.parent._generators_memo
+    gens = memo.get(I.basis_matrix)
+    if gens is None:
+        gens = memo[I.basis_matrix] = _minimal_generators(I)
+    return gens
 
 
 def _minimal_generators(I):

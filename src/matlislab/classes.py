@@ -36,7 +36,7 @@ from .algebra import (
     minimal_generators,
 )
 from .duality import annihilator_in_dual, matlis_dual
-from .errors import NotFree, NotUniserial
+from .errors import NotFree, NotUniserial, ParentMismatch
 from .modules import (
     Submodule,
     ann_ring,
@@ -53,14 +53,40 @@ from .modules import (
 )
 
 
+def _require_ideal_of(algebra, ideal):
+    if ideal.parent is not algebra:
+        raise ParentMismatch("ideal of another algebra")
+
+
+def class_context(algebra, ideal):
+    """The ClassContext of ``ideal``, built once per distinct ideal.
+
+    Contexts are kept in a dict on the algebra keyed by the ideal's
+    basis_matrix, for the algebra's lifetime: every context depends only
+    on the value of I, and its certificates are deterministic, so
+    building it again for an equal ideal would prove nothing new.
+    Raises ParentMismatch for an ideal of another algebra.
+    """
+    _require_ideal_of(algebra, ideal)
+    memo = algebra._context_memo
+    ctx = memo.get(ideal.basis_matrix)
+    if ctx is None:
+        ctx = memo[ideal.basis_matrix] = ClassContext(algebra, ideal)
+    return ctx
+
+
 class ClassContext:
     """An algebra with a distinguished ideal I and its derived data.
 
-    Caches Ann_R(I), the double annihilator and I as a module of its
-    own; the syzygies of I are computed on first use.
+    Holds Ann_R(I), the double annihilator and I as a module of its own;
+    the syzygies of I are computed on first use and kept on the context.
+    Build it through :func:`class_context`, which keeps one context per
+    distinct ideal on the algebra.  Raises ParentMismatch, before any
+    computation, for an ideal of another algebra.
     """
 
     def __init__(self, algebra, ideal):
+        _require_ideal_of(algebra, ideal)
         self.algebra = algebra
         self.I = ideal
         self.ann_i = annihilator_of_ideal(ideal)

@@ -7,7 +7,9 @@
 Fixtures are JSON files; a bare name is resolved against the directory in
 $MATLISLAB_FIXTURE_DIR (default: ./fixtures), trying the name as given and
 with a ``.json`` suffix.  Exit status: 0 = all pass, 1 = at least one FAIL,
-2 = input error, 3 = internal error (an unexpected exception).
+2 = input error (a MatlisLabError; an unusable --out path is rejected
+before anything is computed), 3 = internal error (an unexpected
+exception).
 """
 
 import argparse
@@ -22,6 +24,7 @@ from .errors import (
     FixtureValidationError,
     MatlisLabError,
     NotUniserial,
+    OutputPathError,
     UnknownModuleRef,
 )
 from .fixtures import format_submodule, format_vector, parse_fixture
@@ -91,10 +94,22 @@ def run_compute(fx, command, module_ref):
     raise MatlisLabError("unknown compute command %r" % command)
 
 
+def _check_out_path(out_path):
+    """Reject an output path that cannot be a file, before any computation."""
+    if os.path.isdir(out_path):
+        raise OutputPathError("%s: is a directory" % out_path)
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise OutputPathError("%s: no directory %s" % (out_path, parent))
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise OutputPathError("%s: %s" % (out_path, exc))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -129,6 +144,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out_path(args.out)
         fx = parse_fixture(resolve_fixture(args.fixture))
         if args.topcmd == "compute":
             _emit(run_compute(fx, args.command, args.module), args.out)

@@ -55,3 +55,8 @@ class FixtureValidationError(MatlisLabError):
 
 class CoverMismatch(MatlisLabError):
     """A free cover was given for another module than the one asked about."""
+
+
+class OutputPathError(MatlisLabError):
+    """The --out path cannot be written: a missing directory, a directory,
+    or an operating-system error on writing."""

@@ -51,7 +51,7 @@ algebra of dimension 10.
 import json
 
 from .algebra import Presentation, build_algebra, ideal_from_generators
-from .classes import ClassContext
+from .classes import class_context
 from .duality import injective_cogenerator
 from .errors import (
     FixtureParseError,
@@ -80,13 +80,10 @@ class Fixture:
         self.ideal = ideal
         self.modules = modules
         self.seed = seed
-        self._ctx = None
 
     @property
     def ctx(self):
-        if self._ctx is None:
-            self._ctx = ClassContext(self.algebra, self.ideal)
-        return self._ctx
+        return class_context(self.algebra, self.ideal)
 
     def module(self, name):
         if name not in self.modules:
@@ -301,6 +298,8 @@ def parse_fixture(path):
         raise FixtureParseError(
             "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
         )
+    except UnicodeDecodeError as exc:
+        raise FixtureParseError("%s: not UTF-8: %s" % (path, exc))
     except OSError as exc:
         raise FixtureParseError("%s: %s" % (path, exc))
     if not isinstance(doc, dict):

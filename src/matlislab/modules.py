@@ -21,13 +21,20 @@ from .errors import (
 
 
 class FModule:
-    """A finite-length module over an Artinian local algebra."""
+    """A finite-length module over an Artinian local algebra.
+
+    Immutable after construction, so data derived from it is kept on it:
+    the generator actions, and I*M and M[I] in dicts keyed by the ideal's
+    basis_matrix, so that equal ideals share one entry.
+    """
 
     def __init__(self, parent, actions, check=True):
         self.parent = parent
         self.actions = tuple(tuple(tuple(r) for r in a) for a in actions)
         self.dim = len(self.actions[0]) if self.actions and self.actions[0] else 0
         self._generator_actions = None
+        self._products_memo = {}  # I*M
+        self._annihilated_memo = {}  # M[I]
         if len(self.actions) != parent.dim:
             raise NotASubmodule(
                 "need one action matrix per algebra basis element"
@@ -251,11 +258,30 @@ def _require_same_parent(a, b):
         raise ParentMismatch("operands live over different algebras")
 
 
+def _require_ideal_over(I, M):
+    if I.parent is not M.parent:
+        raise ParentMismatch("ideal and module over different algebras")
+
+
+def _by_ideal_value(memo, I, M, compute):
+    """The submodule compute(), computed once per value of I.
+
+    ``memo`` is a dict on M keyed by I's basis_matrix.  It holds the
+    echelon pair, not the Submodule: a Submodule points back to M, and
+    that cycle would keep M alive until the next garbage collection.
+    """
+    _require_ideal_over(I, M)
+    pair = memo.get(I.basis_matrix)
+    if pair is None:
+        U = compute()
+        pair = memo[I.basis_matrix] = (U.basis_matrix, U.pivots)
+    return Submodule(M, *pair)
+
+
 def _ideal_times(I, M, basis):
     """I*U inside M, for U spanned by the echelon rows ``basis``, or all of
     M when ``basis`` is None."""
-    if I.parent is not M.parent:
-        raise ParentMismatch("ideal and module over different algebras")
+    _require_ideal_over(I, M)
     f = M.parent.field
     rows = []
     for g in minimal_generators(I):
@@ -276,14 +302,17 @@ def ideal_times_submodule(I, U):
 
 
 def ideal_times_module(I, M):
-    """The submodule I*M."""
-    return _ideal_times(I, M, None)
+    """The submodule I*M, computed once per (M, value of I) and kept on M."""
+    return _by_ideal_value(M._products_memo, I, M, lambda: _ideal_times(I, M, None))
 
 
 def annihilator_submodule(M, a):
-    """M[a] = {v in M | a v = 0}."""
-    if a.parent is not M.parent:
-        raise ParentMismatch("ideal and module over different algebras")
+    """M[a] = {v in M | a v = 0}, computed once per (M, value of a) and
+    kept on M."""
+    return _by_ideal_value(M._annihilated_memo, a, M, lambda: _annihilator_submodule(M, a))
+
+
+def _annihilator_submodule(M, a):
     gens = minimal_generators(a)
     if not gens:
         return M.full_submodule()

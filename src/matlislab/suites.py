@@ -12,7 +12,7 @@ from .algebra import (
     unit_ideal,
 )
 from .classes import (
-    ClassContext,
+    class_context,
     duality_transfer,
     epi_onto_r_mod_ann_exists,
     gamma,
@@ -191,7 +191,7 @@ def suite_satz31(fx, trials, rng, budget):
     records = []
     for t in range(trials):
         I = random_ideal(A, rng, allow_unit=True)
-        ctx = ClassContext(A, I)
+        ctx = class_context(A, I)
         M = random_module(A, rng)
         g_fast = gamma(ctx, M, shortcut=True)
         g = gamma(ctx, M, shortcut=False)
@@ -269,7 +269,7 @@ def suite_folg33(fx, trials, rng, budget):
     for t in range(n_ideals):
         J = random_ideal(A, rng, allow_unit=True)
         I2 = annihilator_of_ideal(J)
-        ctx = ClassContext(A, I2)
+        ctx = class_context(A, I2)
         closed = ctx.bar_i == I2
         oks = [closed]
         for j in (1, 2):
@@ -420,7 +420,7 @@ def suite_closure(fx, trials, rng, budget):
             )
         )
     # degenerate identity: I = R acting on the zero module
-    ctx_r = ClassContext(fx.algebra, unit_ideal(fx.algebra))
+    ctx_r = class_context(fx.algebra, unit_ideal(fx.algebra))
     Z = zero_module(fx.algebra)
     dims = [
         ("gamma", gamma(ctx_r, Z).dim),

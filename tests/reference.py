@@ -14,6 +14,9 @@
 - Ext^1(C, A) by the full Hom(F, A) system of the cover F = R^t,
   restricted to a K rebuilt from the syzygy.  The library reads
   Hom(R^t, A) as A^t and keeps K on the cover.
+- Uncached ideal-derived data: minimal generators, the data of a
+  ClassContext, I*M and M[I], computed afresh from k-bases where the
+  library keeps them by the value of the ideal.
 - Constructions only tests use: the zero ideal, sums of ideals, colon
   submodules, the essential and small tests, and the zero cocycle.
 - A rescaled copy of a module, whose actions have denominators over Q.
@@ -23,7 +26,12 @@
 """
 
 from matlislab import linalg
-from matlislab.algebra import Ideal, minimal_generators
+from matlislab.algebra import (
+    Ideal,
+    annihilator_of_ideal,
+    ideal_product,
+    minimal_generators,
+)
 from matlislab.duality import matlis_dual
 from matlislab.errors import MatlisLabError, NotASubmodule, NotFree, ParentMismatch
 from matlislab.ext import free_cover
@@ -79,6 +87,49 @@ class Ext1ByHomOfFree:
             reps = [hom_ka.basis[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
         self.dim = len(reps)
         self.representatives = tuple(reps)
+
+
+def uncached_minimal_generators(I):
+    """The basis rows of I independent modulo m*I, with no memo."""
+    A = I.parent
+    if I.dim == 0:
+        return ()
+    mI = ideal_product(A.max_ideal, I)
+    keep = linalg.extend_basis(mI.basis_matrix, I.basis_matrix, A.field)
+    return tuple(I.basis_matrix[i] for i in keep)
+
+
+def uncached_context_data(A, I):
+    """(Ann(I), Ann(Ann(I)), the actions of I as a module, the syzygies
+    of the minimal generators of I), each computed afresh: the values a
+    ClassContext of I holds as ann_i, bar_i, I_mod and syzygies()."""
+    ann = annihilator_of_ideal(I)
+    bar = annihilator_of_ideal(ann)
+    R = regular_module(A)
+    I_mod, _ = submodule_as_module(Submodule(R, I.basis_matrix, I.pivots))
+    gens = uncached_minimal_generators(I)
+    d, n = A.dim, len(gens)
+    basis = ()
+    if gens:
+        # s_1 g_1 + ... + s_n g_n = 0 for the unknowns s_1, ..., s_n
+        block = [sum(rows, ()) for rows in zip(*[R.action_of(g) for g in gens])]
+        basis = linalg.kernel(block, A.field)[0]
+    syz = tuple(tuple(tuple(v[j * d:(j + 1) * d]) for j in range(n)) for v in basis)
+    return ann.basis_matrix, bar.basis_matrix, I_mod.actions, syz
+
+
+def uncached_ideal_times_module(I, M):
+    """I*M spanned by the products b*m over k-bases of I and M."""
+    rows = [col for b in I.basis_matrix for col in linalg.transpose(M.action_of(b))]
+    return submodule_from_spanning(M, rows)
+
+
+def uncached_annihilator_submodule(M, a):
+    """M[a], the joint kernel of the actions of a k-basis of a."""
+    if a.dim == 0:
+        return M.full_submodule()
+    stacked = linalg.stack(*[M.action_of(b) for b in a.basis_matrix])
+    return Submodule(M, *linalg.kernel(stacked, M.parent.field))
 
 
 def zero_ideal(A):

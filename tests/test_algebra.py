@@ -121,7 +121,7 @@ def test_minimal_generators_memo_matches_fresh_ideal(KXY):
         assert minimal_generators(I) is gens
         fresh = ideal_from_generators(KXY, list(I.basis_matrix))
         assert fresh == I and fresh is not I
-        assert minimal_generators(fresh) == gens
+        assert minimal_generators(fresh) is gens
 
 
 def test_is_iso_to_regular(R3, KXY):

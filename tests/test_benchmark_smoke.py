@@ -2,7 +2,8 @@
 
 perfbench/run.py prints ``"metrics": {}`` when every item raises, for
 example after a change to a package API that perfbench/workloads.py
-calls.  A short run of each workload catches that here.
+calls.  A short run of each workload, untraced and traced, catches that
+here.
 """
 
 import json
@@ -21,11 +22,10 @@ def _reject_constant(name):
     raise ValueError("non-finite number %s in the result line" % name)
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_workload_prints_a_result(workload):
+def _result_line(workload, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+         "--seed", "1", "--seconds", "0.01", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -35,6 +35,20 @@ def test_workload_prints_a_result(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
-    for metric in SPEC["end_to_end"]:
+    return result
+
+
+def _require_finite(result, specs):
+    for metric in specs:
         value = result["metrics"][metric["name"]]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), metric["name"]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_workload_prints_a_result(workload):
+    _require_finite(_result_line(workload, 0), SPEC["end_to_end"])
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_traced_workload_prints_every_layer_metric(workload):
+    _require_finite(_result_line(workload, 1), SPEC["per_layer"])

@@ -13,6 +13,7 @@ from matlislab import classes
 from matlislab.algebra import ideal_from_generators, unit_ideal
 from matlislab.classes import (
     ClassContext,
+    class_context,
     duality_transfer,
     epi_onto_r_mod_ann_exists,
     gamma,
@@ -23,7 +24,7 @@ from matlislab.classes import (
     uniserial_duality,
     uniserial_s,
 )
-from matlislab.errors import NotFree
+from matlislab.errors import NotFree, ParentMismatch
 from matlislab.modules import (
     direct_power,
     generated_submodule,
@@ -86,6 +87,14 @@ def test_degenerate_ideals(r3):
     ctx1 = ClassContext(A, unit_ideal(A))
     assert gamma(ctx1, R).dim == R.dim
     assert kappa(ctx1, R).dim == 0
+
+
+@pytest.mark.parametrize("ring, other", [("R3", "R4"), ("R3", "KXY"), ("KXY", "V2")])
+def test_ideal_of_another_algebra_is_rejected(fixtures, ring, other):
+    A, I = fixtures[ring].algebra, fixtures[other].ideal
+    for build in (ClassContext, class_context):
+        with pytest.raises(ParentMismatch):
+            build(A, I)
 
 
 def test_membership(r3):

@@ -144,3 +144,36 @@ def test_interrupt_and_exit_are_not_caught(monkeypatch, exc):
     monkeypatch.setattr("matlislab.cli.run_suite", interrupted)
     with pytest.raises(exc):
         main(["verify", "lemma11", "--fixture", fix("R3")])
+
+
+@pytest.mark.parametrize(
+    "case", ["fixture-not-utf8", "out-in-missing-dir", "out-is-dir", "out-write-fails"]
+)
+def test_malformed_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
+    fixture, out = fix("R3"), ["--out", str(tmp_path / "report.txt")]
+    if case == "fixture-not-utf8":
+        fixture = tmp_path / "latin1.json"
+        fixture.write_bytes('{"name": "R\xe9"}'.encode("latin-1"))
+    elif case == "out-in-missing-dir":
+        out = ["--out", str(tmp_path / "missing" / "report.txt")]
+    elif case == "out-is-dir":
+        out = ["--out", str(tmp_path)]
+    if case == "out-write-fails":
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only")
+
+        # only the CLI's own open, so the fixture still reads
+        monkeypatch.setattr("matlislab.cli.open", refuse, raising=False)
+        argv = ["compute", "kappa", "--module", "regular"]
+    else:
+        # rejected before the suite runs: reaching it would be exit 3
+        def unreachable(*args, **kwargs):
+            raise RuntimeError("the suite ran")
+
+        monkeypatch.setattr("matlislab.cli.run_suite", unreachable)
+        argv = ["verify", "lemma11"]
+    assert main(argv + ["--fixture", str(fixture)] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err

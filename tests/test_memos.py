@@ -1,0 +1,156 @@
+"""The memos of ideal-derived data agree with an uncached computation.
+
+Minimal generators and class contexts are kept on the algebra, I*M and
+M[I] on the module, each keyed by the ideal's basis_matrix.  Every test
+parses its fixtures afresh, so no memo entry comes from another test,
+and compares by value and by scalar type.
+"""
+
+import pytest
+
+from reference import (
+    uncached_annihilator_submodule,
+    uncached_context_data,
+    uncached_ideal_times_module,
+    uncached_minimal_generators,
+    zero_ideal,
+)
+from matlislab import algebra, classes, suites
+from matlislab.algebra import ideal_from_generators, minimal_generators, unit_ideal
+from matlislab.classes import ClassContext, class_context
+from matlislab.duality import injective_cogenerator
+from matlislab.errors import ParentMismatch
+from matlislab.fixtures import fixture_from_dict
+from matlislab.modules import annihilator_submodule, ideal_times_module, regular_module
+from matlislab.randmod import Lcg, random_ideal, random_module
+from matlislab.suites import run_suite
+
+from conftest import EXTRA_DOCS, FIXTURE_NAMES, load
+
+CASES = FIXTURE_NAMES + ["dim10-Q", "dim10-F101", "QXY-sums"]
+
+
+def _fresh(name):
+    if name in FIXTURE_NAMES:
+        return load(name)
+    doc = next(d for d in EXTRA_DOCS if d["name"] == name)
+    return fixture_from_dict(doc, name=name)
+
+
+def typed(x):
+    """x with every scalar paired with its type, so that 1 and
+    Fraction(1) compare unequal."""
+    if isinstance(x, tuple):
+        return tuple(typed(y) for y in x)
+    return (type(x), x)
+
+
+def _ideals(A):
+    """The zero, maximal and unit ideals, each principal ideal of a basis
+    element and seeded random ideals: many share a dimension, so a memo
+    keyed on less than the value would hand out wrong entries."""
+    rng = Lcg(17)
+    units = [tuple(A.field.one if j == i else A.field.zero for j in range(A.dim))
+             for i in range(1, A.dim)]
+    ideals = [zero_ideal(A), A.max_ideal, unit_ideal(A)]
+    ideals += [ideal_from_generators(A, [u]) for u in units]
+    ideals += [random_ideal(A, rng, allow_unit=True) for _ in range(6)]
+    return ideals
+
+
+def _twin(I):
+    """An Ideal equal to I but a distinct object."""
+    twin = ideal_from_generators(I.parent, list(I.basis_matrix))
+    assert twin == I and twin is not I
+    return twin
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_minimal_generators_memo(name):
+    A = _fresh(name).algebra
+    for I in _ideals(A):
+        gens = minimal_generators(I)
+        assert typed(gens) == typed(uncached_minimal_generators(I)), I
+        assert minimal_generators(_twin(I)) is gens
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_class_context_memo(name):
+    A = _fresh(name).algebra
+    for I in _ideals(A):
+        ctx = class_context(A, I)
+        assert ctx.I == I
+        got = (ctx.ann_i.basis_matrix, ctx.bar_i.basis_matrix, ctx.I_mod.actions,
+               ctx.syzygies())
+        assert typed(got) == typed(uncached_context_data(A, I)), I
+        assert class_context(A, _twin(I)) is ctx
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_module_memos(name):
+    A = _fresh(name).algebra
+    rng = Lcg(23)
+    modules = [regular_module(A), injective_cogenerator(A)]
+    modules += [random_module(A, rng) for _ in range(2)]
+    for M in modules:
+        for I in _ideals(A):
+            for memoized, uncached in (
+                (ideal_times_module(I, M), uncached_ideal_times_module(I, M)),
+                (annihilator_submodule(M, I), uncached_annihilator_submodule(M, I)),
+            ):
+                assert memoized.ambient is M
+                assert typed((memoized.basis_matrix, memoized.pivots)) == typed(
+                    (uncached.basis_matrix, uncached.pivots)
+                ), (I, M)
+            twin = _twin(I)
+            assert ideal_times_module(twin, M) == ideal_times_module(I, M)
+            assert annihilator_submodule(M, twin) == annihilator_submodule(M, I)
+
+
+def test_equal_ideal_of_another_algebra_misses_every_memo():
+    # two parses of one fixture: equal bases, distinct algebras
+    A1, A2 = load("KXY").algebra, load("KXY").algebra
+    I1, I2 = A1.max_ideal, A2.max_ideal
+    assert I1.basis_matrix == I2.basis_matrix
+    M1 = regular_module(A1)
+    class_context(A1, I1)
+    ideal_times_module(I1, M1)
+    annihilator_submodule(M1, I1)
+    for call in (
+        lambda: class_context(A1, I2),
+        lambda: ClassContext(A1, I2),
+        lambda: ideal_times_module(I2, M1),
+        lambda: annihilator_submodule(M1, I2),
+    ):
+        with pytest.raises(ParentMismatch):
+            call()
+
+
+def test_satz31_builds_once_per_distinct_ideal(monkeypatch):
+    fx = load("KXY")
+    built, computed, drawn = [], [], []
+    init = ClassContext.__init__
+    compute = algebra._minimal_generators
+    draw = suites.random_ideal
+
+    def counting_init(self, A, I):
+        built.append(I.basis_matrix)
+        init(self, A, I)
+
+    def counting_compute(I):
+        computed.append(I.basis_matrix)
+        return compute(I)
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(classes.ClassContext, "__init__", counting_init)
+    monkeypatch.setattr(algebra, "_minimal_generators", counting_compute)
+    monkeypatch.setattr(suites, "random_ideal", recording_draw)
+    run_suite(fx, "satz31")
+    distinct = {I.basis_matrix for I in drawn}
+    assert len(drawn) == 200
+    assert sorted(built) == sorted(distinct)
+    assert len(built) <= 11
+    assert len(computed) == len(set(computed))
