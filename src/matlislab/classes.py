@@ -93,7 +93,7 @@ class ClassContext:
         self.bar_i = annihilator_of_ideal(self.ann_i)
         self.regular = regular_module(algebra)
         self.I_sub = Submodule(self.regular, ideal.basis_matrix, ideal.pivots)
-        self.I_mod, self.I_incl = submodule_as_module(self.I_sub)
+        self.I_mod, _ = submodule_as_module(self.I_sub)
         self._syzygies = None
         if ideal_product(self.ann_i, ideal).dim != 0:
             raise NotFree("annihilator certificate failed")  # cannot happen

@@ -1,9 +1,7 @@
 """Free covers, first Ext groups, and extension construction.
 
 Ext^1(C, A) is computed from a free cover 0 -> K -> F -> C -> 0 as
-Hom(K, A) modulo the restrictions of Hom(F, A); a representative cocycle
-K -> A is turned into an extension module by the pushout
-B = (A + F) / {(-c(w), w) | w in K}.
+Hom(K, A) modulo the restrictions of Hom(F, A).
 
 The cover is F = R^t with d = dim(R), and coordinate s*d + m of F is
 e_s (x) b_m.  A map F -> A is fixed by the images of e_1, ..., e_t, so
@@ -18,6 +16,19 @@ b_m.  Its restriction to K is P_j * W_s, where
 
 So the restrictions need no Hom(F, A) system, and K, which depends only
 on the cover, is built once with it.
+
+A cocycle h: K -> A gives the extension on the k-space A + C
+(Weibel, An Introduction to Homological Algebra, §3.4).  Take a k-linear
+section s: C -> F of the cover map e, so e*s = 1.  For each basis
+element b_k of R, F_k*s - s*C_k is killed by e, so it factors through K
+as a matrix D_k.  Then b_k acts on B = A + C by
+
+    B_k = [[A_k, h*D_k], [0, C_k]],
+
+with A included as the first block and B -> C the second projection.
+The map (a, f) -> (a + h(f - s(e f)), e f) is an equivalence from the
+pushout (A + F) / {(-h(w), w) | w in K} onto this B.  s and the D_k
+depend only on the cover, so they are built once with it.
 """
 
 from . import linalg
@@ -31,15 +42,14 @@ from .errors import (
     ParentMismatch,
 )
 from .modules import (
+    FModule,
     ModuleMap,
     direct_power,
-    direct_sum,
     hom_space,
     quotient_module,
     radical,
     regular_module,
     submodule_as_module,
-    submodule_from_spanning,
 )
 from .randmod import Lcg, random_submodule
 
@@ -48,7 +58,9 @@ class FreeCover:
     """A surjection R^rank -> module, with its kernel K as a module.
 
     R^rank is the block-diagonal direct power, so coordinate s*d + m is
-    e_s (x) b_m; ext1 reads the inclusion of K in those slots.
+    e_s (x) b_m; ext1 reads the inclusion of K in those slots.  The
+    section and the D_k that extensions are built from are computed on
+    first use and kept on the cover (see :meth:`section`).
     """
 
     def __init__(self, module, rank, epi):
@@ -63,6 +75,58 @@ class FreeCover:
         self.epi = epi
         self.syzygy = epi.kernel()
         self.K_mod, self.K_incl = submodule_as_module(self.syzygy)
+        self._section = None
+
+    def section(self):
+        """(s, D): a k-linear section s: C -> F of the cover map e, and
+        the D_k of the module docstring side by side, D = [D_0 | ... ].
+
+        Row-reducing [e | 1_C] gives [G*e | G] with G invertible; with
+        p_i the pivot of row i, s(e_j) = sum_i G[i][j] * e_(p_i), since
+        G*e*s = 1.  D_k holds the K-coordinates of F_k*s - s*C_k, its
+        rows at the pivots of the syzygy.  Certified once: e*s = 1, and
+        K_incl * D_k = F_k*s - s*C_k for every k, which fails only when e
+        is not equivariant.
+        """
+        if self._section is None:
+            self._section = self._build_section()
+        return self._section
+
+    def _build_section(self):
+        A = self.module.parent
+        f = A.field
+        C, n, c, d = self.module, self.free.dim, self.module.dim, A.dim
+        units = linalg.identity(c, f)
+        red, pivots = linalg.rref([e + u for e, u in zip(self.epi.matrix, units)], f)
+        sigma = [(f.zero,) * c] * n
+        for row, p in zip(red, pivots):
+            sigma[p] = row[n:]
+        sigma = tuple(sigma)
+        if linalg.mat_mul(self.epi.matrix, sigma, f) != units:
+            raise MatlisLabError("cover section certificate failed")
+        # F_k*s, slot by slot: entry k*d + l of (stacked . s_t) is row
+        # l of L_k * s_t, L_k the multiplication by b_k
+        stacked = linalg.stack(*A.left_mult)
+        fs = [linalg.mat_mul(stacked, sigma[t * d:(t + 1) * d], f) for t in range(self.rank)]
+        # s*C_k for all k at once: column block k of s * [C_0 | C_1 | ...]
+        sc = linalg.mat_mul(sigma, tuple(sum(rows, ()) for rows in zip(*C.actions)), f)
+        diff = tuple(
+            tuple(
+                f.sub(x, y)
+                for k in range(d)
+                for x, y in zip(fs[t][k * d + l], sc[t * d + l][k * c:(k + 1) * c])
+            )
+            for t in range(self.rank)
+            for l in range(d)
+        )
+        delta = tuple(diff[p] for p in self.syzygy.pivots)
+        if delta:
+            back = linalg.mat_mul(self.K_incl.matrix, delta, f)
+        else:
+            back = linalg.zeros(n, d * c, f)
+        if back != diff:
+            raise NotEquivariant("cover map is not equivariant")
+        return sigma, delta
 
 
 def free_cover(M):
@@ -126,41 +190,39 @@ def ext1(C, A, cover=None):
 
 
 def extension_from_class(ext_space, cocycle):
-    """The pushout extension 0 -> A -> B -> C -> 0 for a cocycle K -> A.
+    """The extension 0 -> A -> B -> C -> 0 of a cocycle h: K -> A.
 
-    Exactness is certified: the inclusion is injective, the projection
-    surjective with kernel exactly the image, and lengths add up.
+    B is A + C with b_k acting as [[A_k, h*D_k], [0, C_k]], the D_k kept
+    on the cover (module docstring and :meth:`FreeCover.section`); A is
+    the first block and B -> C the projection onto the second.  Its
+    class in Ext^1(C, A) is the class of h.  The cocycle's shape and
+    equivariance are checked, and exactness is certified: the inclusion
+    is injective, the projection surjective with kernel exactly the
+    image, and lengths add up.
     """
     A = ext_space.A
     C = ext_space.C
-    cov = ext_space.cover
     f = A.parent.field
     k = ext_space.K_mod.dim
     if len(cocycle.matrix) != A.dim or any(len(row) != k for row in cocycle.matrix):
         raise DimensionMismatch("a cocycle is a dim(A) x dim(K) matrix")
     ModuleMap(ext_space.K_mod, A, cocycle.matrix, check=True)  # NotEquivariant if bad
 
-    D, (inj_a, _), (_, proj_f) = direct_sum(A, cov.free)
-    # graph column j: minus the cocycle's column j over K_incl's column j
-    graph_cols = [
-        tuple(f.neg(row[j]) for row in cocycle.matrix)
-        + tuple(row[j] for row in ext_space.K_incl.matrix)
-        for j in range(ext_space.K_mod.dim)
-    ]
-    graph = submodule_from_spanning(D, graph_cols)
-    B, proj_b = quotient_module(D, graph)
-
-    iota = proj_b.compose(inj_a)
-    # the cover surjection kills the graph, so it descends to B
-    to_c = cov.epi.compose(proj_f)
-    for v in graph.basis_matrix:
-        if any(to_c.apply(v)):
-            raise NotEquivariant("cocycle does not descend")
-    pivset = set(graph.pivots)
-    free_cols = [j for j in range(D.dim) if j not in pivset]
-    # B's coordinate a lifts to the unit vector at free_cols[a]
-    pi_matrix = tuple(tuple(row[j] for j in free_cols) for row in to_c.matrix)
-    pi = ModuleMap(B, C, pi_matrix, check=False)
+    _, delta = ext_space.cover.section()
+    a, c = A.dim, C.dim
+    if k:
+        theta = linalg.mat_mul(cocycle.matrix, delta, f)
+    else:
+        theta = linalg.zeros(a, A.parent.dim * c, f)
+    zero_left = (f.zero,) * a
+    actions = []
+    for i, (act_a, act_c) in enumerate(zip(A.actions, C.actions)):
+        top = tuple(ra + rt[i * c:(i + 1) * c] for ra, rt in zip(act_a, theta))
+        actions.append(top + tuple(zero_left + rc for rc in act_c))
+    B = FModule(A.parent, actions, check=False)
+    ident = linalg.identity(a + c, f)
+    iota = ModuleMap(A, B, tuple(row[:a] for row in ident), check=False)
+    pi = ModuleMap(B, C, ident[a:], check=False)
 
     if not iota.is_injective():
         raise MatlisLabError("extension inclusion not injective")

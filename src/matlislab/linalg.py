@@ -20,6 +20,7 @@ contract of :mod:`matlislab.fields`: an int when integral, else a
 Fraction.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -195,18 +196,37 @@ def extend_basis(rows, candidates, field):
     """Indices of the candidates kept by a left-to-right greedy pass.
 
     A candidate is kept when it lies outside the span of ``rows`` and of
-    the candidates kept before it; each one is reduced against the
-    current RREF rather than re-ranking the growing stack.
+    the candidates kept before it.  Each one is reduced against the
+    current RREF, and a kept one joins it by one Gauss-Jordan step on
+    its normal form: scaled to a leading 1, its pivot column cleared in
+    the other rows, and inserted in pivot order.
     """
     red, pivots = rref(rows, field)
+    red = [list(r) for r in red]
+    pivots = list(pivots)
     ncols = len(candidates[0]) if candidates else 0
     kept = []
     for i, cand in enumerate(candidates):
         if len(pivots) == ncols:
             break
-        if any(reduce_vector(red, pivots, cand, field)):
-            kept.append(i)
-            red, pivots = rref(red + (tuple(cand),), field)
+        v = reduce_vector(red, pivots, cand, field)
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        kept.append(i)
+        inv = field.inv(v[c])
+        v = [field.mul(inv, x) if x else x for x in v]
+        # v is 0 left of c and at the pivot columns of red, so clearing
+        # column c leaves red in reduced echelon form
+        for row in red:
+            a = row[c]
+            if a:
+                for k in range(c, ncols):
+                    if v[k]:
+                        row[k] = field.sub(row[k], field.mul(a, v[k]))
+        at = bisect_left(pivots, c)
+        red.insert(at, v)
+        pivots.insert(at, c)
     return kept
 
 

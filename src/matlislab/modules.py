@@ -169,16 +169,6 @@ class ModuleMap:
     def apply(self, vec):
         return linalg.mat_vec(self.matrix, vec, self.source.parent.field)
 
-    def compose(self, other):
-        """self after other (source of self = target of other)."""
-        f = self.source.parent.field
-        return ModuleMap(
-            other.source,
-            self.target,
-            linalg.mat_mul(self.matrix, other.matrix, f),
-            check=False,
-        )
-
     def rank(self):
         return linalg.rank(self.matrix, self.source.parent.field)
 

@@ -14,6 +14,12 @@
 - Ext^1(C, A) by the full Hom(F, A) system of the cover F = R^t,
   restricted to a K rebuilt from the syzygy.  The library reads
   Hom(R^t, A) as A^t and keeps K on the cover.
+- The extension of a cocycle h: K -> A as the pushout
+  (A + F) / {(-h(w), w) | w in K}.  The library builds it on A + C from
+  a section of the cover.
+- The greedy basis extension that row-reduces the stack of its echelon
+  form and each kept candidate again.  The library adds a kept
+  candidate by one Gauss-Jordan step.
 - Uncached ideal-derived data: minimal generators, the data of a
   ClassContext, I*M and M[I], computed afresh from k-bases where the
   library keeps them by the value of the ideal.
@@ -40,6 +46,7 @@ from matlislab.modules import (
     ModuleMap,
     Submodule,
     direct_power,
+    direct_sum,
     generated_submodule,
     hom_space,
     ideal_times_submodule,
@@ -87,6 +94,50 @@ class Ext1ByHomOfFree:
             reps = [hom_ka.basis[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
         self.dim = len(reps)
         self.representatives = tuple(reps)
+
+
+def extension_by_pushout(ext_space, cocycle):
+    """(B, iota, pi, lift) for the pushout B = (A + F) / G of a cocycle
+    h: K -> A, G = {(-h(w), w) | w in K} the graph.
+
+    Coordinate i of B is the class of the unit vector of A + F at the
+    i-th non-pivot column of G's echelon basis; ``lift`` is the
+    dim(A + F) x dim(B) matrix of those unit vectors.
+    """
+    A, C, cov = ext_space.A, ext_space.C, ext_space.cover
+    f = A.parent.field
+    D, (inj_a, _), (_, proj_f) = direct_sum(A, cov.free)
+    graph_cols = [
+        tuple(f.neg(row[j]) for row in cocycle.matrix)
+        + tuple(row[j] for row in ext_space.K_incl.matrix)
+        for j in range(ext_space.K_mod.dim)
+    ]
+    graph = submodule_from_spanning(D, graph_cols)
+    B, proj_b = quotient_module(D, graph)
+    iota = ModuleMap(A, B, linalg.mat_mul(proj_b.matrix, inj_a.matrix, f), check=False)
+    pivset = set(graph.pivots)
+    free_cols = [j for j in range(D.dim) if j not in pivset]
+    to_c = linalg.mat_mul(cov.epi.matrix, proj_f.matrix, f)
+    pi = ModuleMap(B, C, tuple(tuple(row[j] for j in free_cols) for row in to_c), check=False)
+    lift = tuple(
+        tuple(f.one if j == c else f.zero for c in free_cols) for j in range(D.dim)
+    )
+    return B, iota, pi, lift
+
+
+def extend_basis_by_rereduction(rows, candidates, field):
+    """linalg.extend_basis, row-reducing the echelon rows stacked with
+    each kept candidate again."""
+    red, pivots = linalg.rref(rows, field)
+    ncols = len(candidates[0]) if candidates else 0
+    kept = []
+    for i, cand in enumerate(candidates):
+        if len(pivots) == ncols:
+            break
+        if any(linalg.reduce_vector(red, pivots, cand, field)):
+            kept.append(i)
+            red, pivots = linalg.rref(red + (tuple(cand),), field)
+    return kept
 
 
 def uncached_minimal_generators(I):
@@ -220,8 +271,9 @@ def hom_epi_onto_r_mod_ann_exists(ctx):
     if Q.dim == 0:
         return True
     _, proj_top = quotient_module(Q, radical(Q))
+    f = R.parent.field
     for g in hom_space(ctx.I_mod, Q).basis:
-        if any(x for row in proj_top.compose(g).matrix for x in row):
+        if any(x for row in linalg.mat_mul(proj_top.matrix, g.matrix, f) for x in row):
             return True
     return False
 

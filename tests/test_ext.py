@@ -1,6 +1,13 @@
 import pytest
 
-from reference import Ext1ByHomOfFree, find_isomorphism, rescaled, zero_cocycle, zero_ideal
+from reference import (
+    Ext1ByHomOfFree,
+    extension_by_pushout,
+    find_isomorphism,
+    rescaled,
+    zero_cocycle,
+    zero_ideal,
+)
 from matlislab import linalg
 from matlislab.classes import is_p_member, is_s_member
 from matlislab.duality import matlis_dual
@@ -16,6 +23,7 @@ from matlislab.ext import (
 from matlislab.algebra import unit_ideal
 from matlislab.classes import ClassContext
 from matlislab.modules import (
+    FModule,
     ModuleMap,
     direct_power,
     direct_sum,
@@ -25,7 +33,6 @@ from matlislab.modules import (
     regular_module,
     residue_field_module,
     socle,
-    submodule_from_spanning,
     zero_module,
 )
 from matlislab.randmod import Lcg, random_module
@@ -93,40 +100,100 @@ def test_nonsplit_extension_of_tops(r3):
     assert find_isomorphism(B, R) is not None
 
 
-def _extension_by_unit_vectors(es, cocycle):
-    """B of the pushout, each graph column built by applying the cocycle,
-    the inclusion of K and both injections to a unit vector of K."""
-    A = es.A
+def _equivalence(es, cocycle, lift):
+    """phi(a, f) = (a + h(f - s(e f)), e f) from A + F to A + C, with s
+    the cover's section, read on the pushout's coordinates through
+    ``lift``."""
+    A, C, cov = es.A, es.C, es.cover
     f = A.parent.field
-    D, (inj_a, inj_f), _ = direct_sum(A, es.cover.free)
-    cols = []
-    for j in range(es.K_mod.dim):
-        e = tuple(f.one if t == j else f.zero for t in range(es.K_mod.dim))
-        vec = inj_f.apply(es.K_incl.apply(e))
-        neg = inj_a.apply(tuple(f.neg(x) for x in cocycle.apply(e)))
-        cols.append(tuple(f.add(u, v) for u, v in zip(vec, neg)))
-    B, _ = quotient_module(D, submodule_from_spanning(D, cols))
-    return B
+    a, c, n = A.dim, C.dim, cov.free.dim
+    sigma, _ = cov.section()
+    eps = cov.epi.matrix
+    assert linalg.mat_mul(eps, sigma, f) == linalg.identity(c, f)
+    se = linalg.mat_mul(sigma, eps, f) if c else linalg.zeros(n, n, f)
+    # f - s(e f) lies in K; its K-coordinates are its entries at the
+    # pivots of the syzygy
+    units = linalg.identity(n, f)
+    to_k = [tuple(map(f.sub, units[p], se[p])) for p in cov.syzygy.pivots]
+    top = linalg.mat_mul(cocycle.matrix, to_k, f) if to_k else linalg.zeros(a, n, f)
+    ident = linalg.identity(a, f)
+    rows = [ident[r] + top[r] for r in range(a)] + [(f.zero,) * a + row for row in eps]
+    return linalg.mat_mul(rows, lift, f)
 
 
-@pytest.mark.parametrize("name", ["R3", "R4", "KXY", "V2"])
-def test_extension_graph_matches_unit_vector_route(fixtures, name):
-    fx = fixtures[name]
+def _ext_modules(fx, rng):
     A = fx.algebra
-    rng = Lcg(23)
     mods = [residue_field_module(A), fx.ctx.I_mod]
     mods += [random_module(A, rng) for _ in range(2)]
     mods.append(rescaled(mods[-1]))
+    return mods
+
+
+def _covers(C):
+    cov = free_cover(C)
+    return [cov, _fattened(cov, True), _fattened(cov, False)]
+
+
+EQUIVALENCE_ALGEBRAS = ["R3", "R4", "KXY", "V2", "dim10-F101"]
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ALGEBRAS)
+def test_extension_is_equivalent_to_pushout(fixtures, extra_fixtures, name):
+    """phi is an equivalence of extensions from the pushout onto B: it
+    commutes with the action of every basis element, is bijective, and
+    carries the pushout's inclusion and projection to B's.  Every B is
+    a module, checked over all basis elements."""
+    fx = {**fixtures, **extra_fixtures}[name]
+    f = fx.algebra.field
+    mods = _ext_modules(fx, Lcg(23))
     built = 0
     for C in mods:
-        cov = free_cover(C)
-        for Aend in mods:
-            es = ext1(C, Aend, cover=cov)
-            for h in es.representatives[:2]:
-                B, _, _ = extension_from_class(es, h)
-                assert B == _extension_by_unit_vectors(es, h)
-                built += 1
+        for cov in _covers(C) if C in mods[:2] else [free_cover(C)]:
+            for Aend in mods:
+                es = ext1(C, Aend, cover=cov)
+                for h in es.representatives[:2]:
+                    B, iota, pi = extension_from_class(es, h)
+                    FModule(B.parent, B.actions, check=True)
+                    old, old_iota, old_pi, lift = extension_by_pushout(es, h)
+                    phi = _equivalence(es, h, lift)
+                    for act_old, act_new in zip(old.actions, B.actions):
+                        assert linalg.mat_mul(phi, act_old, f) == linalg.mat_mul(act_new, phi, f)
+                    assert linalg.rank(phi, f) == B.dim == old.dim
+                    assert linalg.mat_mul(phi, old_iota.matrix, f) == iota.matrix
+                    assert linalg.mat_mul(pi.matrix, phi, f) == old_pi.matrix
+                    built += 1
     assert built
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ALGEBRAS)
+def test_zero_cocycle_gives_the_direct_sum(fixtures, extra_fixtures, name):
+    """The zero class gives exactly direct_sum(A, C), with its inclusion
+    of A and its projection onto C, on minimal and fattened covers."""
+    fx = {**fixtures, **extra_fixtures}[name]
+    A = fx.algebra
+    mods = _ext_modules(fx, Lcg(37))[:3] + [zero_module(A), regular_module(A)]
+    for C in mods:
+        for cov in _covers(C):
+            for Aend in mods:
+                es = ext1(C, Aend, cover=cov)
+                B, iota, pi = extension_from_class(es, zero_cocycle(es))
+                S, (inj_a, _), (_, proj_c) = direct_sum(Aend, C)
+                assert B == S
+                assert iota.matrix == inj_a.matrix and pi.matrix == proj_c.matrix
+
+
+def test_cover_section_is_kept_and_certified(r3):
+    """The section and the D_k are built once per cover; a cover map
+    that is not equivariant fails their certificate."""
+    A = r3.algebra
+    f = A.field
+    k = residue_field_module(A)
+    cov = free_cover(k)
+    assert cov.section() is cov.section()
+    # e(1) = e(x) = 1 maps onto k, but e(x*1) = 1 while x*e(1) = 0 in k
+    bad = FreeCover(k, 1, ModuleMap(cov.free, k, ((f.one, f.one, f.zero),), check=False))
+    with pytest.raises(NotEquivariant):
+        bad.section()
 
 
 def _fattened(cov, first):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from reference import extend_basis_by_rereduction
 from matlislab.fields import PrimeField, QQ
 from matlislab import linalg
 
@@ -200,6 +202,53 @@ def test_extend_basis_empty_rows_and_dependent_candidates():
     assert linalg.extend_basis(e, cands, QQ) == []
     assert linalg.extend_basis((e[0], e[2]), cands, QQ) == [5]
     assert linalg.extend_basis((), (), QQ) == []
+
+
+@st.composite
+def _extension_problems(draw):
+    """(field, rows, candidates) over Q or F_101.  A candidate is a fresh
+    vector, a copy of an earlier row or candidate, a combination of two
+    earlier vectors, or zero."""
+    field = draw(st.sampled_from([QQ, F101]))
+    n = draw(st.integers(1, 6))
+    scalar = st.builds(field.of, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+    def fresh():
+        return tuple(draw(scalar) for _ in range(n))
+
+    rows = [fresh() for _ in range(draw(st.integers(0, 4)))]
+    cands = []
+    for _ in range(draw(st.integers(0, 9))):
+        earlier = rows + cands
+        kind = draw(st.sampled_from(["fresh", "copy", "combination", "zero"]))
+        if kind == "copy" and earlier:
+            cands.append(draw(st.sampled_from(earlier)))
+        elif kind == "combination" and earlier:
+            u, v = draw(st.sampled_from(earlier)), draw(st.sampled_from(earlier))
+            a, b = draw(scalar), draw(scalar)
+            cands.append(tuple(field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(u, v)))
+        elif kind == "zero":
+            cands.append((field.zero,) * n)
+        else:
+            cands.append(fresh())
+    return field, rows, cands
+
+
+_E3 = linalg.identity(3, QQ)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_extension_problems())
+# empty rows, with a duplicate and a dependent candidate
+@example((QQ, [], [_E3[1], _E3[1], (0, 2, 0), _E3[0], (1, -1, 0), _E3[2]]))
+# full rank from rows alone, and after the second kept candidate
+@example((F101, [_E3[0], _E3[1], _E3[2]], [(1, 2, 3)]))
+@example((F101, [(1, 1, 0)], [(2, 2, 0), (0, 1, 0), (0, 0, 5), (1, 0, 0)]))
+def test_extend_basis_matches_rereduction(problem):
+    """The one-step update keeps the same candidates as row-reducing
+    the stack again after each kept one."""
+    field, rows, cands = problem
+    assert linalg.extend_basis(rows, cands, field) == extend_basis_by_rereduction(rows, cands, field)
 
 
 def _dot_ref(row, col, field):
