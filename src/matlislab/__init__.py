@@ -1,7 +1,7 @@
 """Exact-arithmetic computations with trace and reject functors over
 Artinian local k-algebras: Matlis duality, the classes of I-generated and
-I-dual-cogenerated modules, Ext^1-based extension searches, and named
-verification suites with deterministic reports.
+I-dual-cogenerated modules, extensions built from Ext^1 classes, and
+named verification suites with deterministic reports.
 """
 
 __version__ = "0.1.0"

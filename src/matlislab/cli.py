@@ -1,7 +1,8 @@
 """Command-line front end.
 
     matlis-lab compute <cmd> --fixture <path> --module <name> [--out <path>]
-    matlis-lab verify <suite> --fixture <path> [--trials N] [--seed S] [--budget B]
+    matlis-lab verify <suite> --fixture <path> [--trials N] [--seed S]
+        [--json] [--out <path>]
     matlis-lab ring check --fixture <path>
 
 Fixtures are JSON files; a bare name is resolved against the directory in
@@ -133,7 +134,6 @@ def main(argv=None):
     p_verify.add_argument("--fixture", required=True)
     p_verify.add_argument("--trials", type=int)
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--budget", type=int, default=500)
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
     p_verify.add_argument("--out")
 
@@ -151,9 +151,7 @@ def main(argv=None):
             _emit(run_compute(fx, args.command, args.module), args.out)
             return 0
         if args.topcmd == "verify":
-            report = run_suite(
-                fx, args.suite, trials=args.trials, seed=args.seed, budget=args.budget
-            )
+            report = run_suite(fx, args.suite, trials=args.trials, seed=args.seed)
             if args.json:
                 text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
             else:

@@ -66,13 +66,23 @@ def test_verify_suite_exit_zero(capsys):
         assert line.startswith("CHECK ") and " PASS " in line
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--budget"])
+@pytest.mark.parametrize("flag", ["--trials"])
 def test_verify_negative_count_is_input_error(capsys, flag):
     rc = main(["verify", "lemma11", "--fixture", fix("R3"), flag, "-5"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-negative" in captured.err
+
+
+def test_verify_budget_flag_is_rejected(capsys):
+    # satz25 builds its witness; there is no search budget to set
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "satz25", "--fixture", fix("R3"), "--budget", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget" in captured.err
 
 
 def test_verify_json_variant(capsys):

@@ -14,7 +14,6 @@ from matlislab.duality import matlis_dual
 from matlislab.errors import CoverMismatch, DimensionMismatch, NotEquivariant
 from matlislab.ext import (
     FreeCover,
-    SearchVerdict,
     ext1,
     extension_from_class,
     free_cover,
@@ -35,7 +34,7 @@ from matlislab.modules import (
     socle,
     zero_module,
 )
-from matlislab.randmod import Lcg, random_module
+from matlislab.randmod import Lcg, random_ideal, random_module
 
 
 def test_free_cover_minimal(r3):
@@ -354,13 +353,15 @@ def test_cocycle_must_be_equivariant(r3):
 
 def test_search_finds_witness_both_modes(r3):
     for mode in ("P", "S"):
-        v = satz25_search(r3.ctx, budget=500, mode=mode, seed=0)
-        assert v.kind == SearchVerdict.WITNESS
+        C, (B, iota, pi), outside = satz25_search(r3.ctx, mode=mode)
+        assert outside
         member = is_p_member if mode == "P" else is_s_member
-        assert member(r3.ctx, v.a) and member(r3.ctx, v.c)
-        assert not member(r3.ctx, v.b)
-        assert v.iota.is_injective() and v.pi.is_surjective()
-        assert v.iota.image() == v.pi.kernel()
+        # A = C: both ends are the one class member
+        assert iota.source is C and pi.target is C
+        assert member(r3.ctx, C)
+        assert not member(r3.ctx, B)
+        assert iota.is_injective() and pi.is_surjective()
+        assert iota.image() == pi.kernel()
 
 
 def test_search_closed_for_trivial_ideals(r3):
@@ -368,12 +369,41 @@ def test_search_closed_for_trivial_ideals(r3):
     for I in (zero_ideal(A), unit_ideal(A)):
         ctx = ClassContext(A, I)
         for mode in ("P", "S"):
-            assert satz25_search(ctx, mode=mode).kind == SearchVerdict.CLOSED_TRIVIALLY
+            assert satz25_search(ctx, mode=mode) is None
 
 
 def test_search_deterministic(kxy):
-    v1 = satz25_search(kxy.ctx, budget=200, mode="P", seed=5)
-    v2 = satz25_search(kxy.ctx, budget=200, mode="P", seed=5)
-    assert v1.kind == v2.kind and v1.tested == v2.tested
-    if v1.kind == SearchVerdict.WITNESS:
-        assert v1.b.actions == v2.b.actions
+    _, (b1, _, _), out1 = satz25_search(kxy.ctx, mode="P")
+    _, (b2, _, _), out2 = satz25_search(kxy.ctx, mode="P")
+    assert out1 == out2
+    assert b1.actions == b2.actions
+
+
+# Lcg(99) draws of non-unit ideals per algebra; a dim-10 ideal costs
+# about 0.1 s, so those algebras get fewer draws
+WITNESS_DRAWS = {
+    "R3": 60, "R4": 60, "KXY": 60, "V2": 60, "QXY-half": 60, "QXY-sums": 60,
+    "dim10-Q": 8, "dim10-F101": 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DRAWS))
+def test_search_witness_for_random_ideals(fixtures, extra_fixtures, name):
+    """Beyond the fixtures' own ideals: for every distinct nonzero
+    non-unit ideal drawn, the first class of Ext^1(C, C) gives B outside
+    the class, in both modes."""
+    A = {**fixtures, **extra_fixtures}[name].algebra
+    rng = Lcg(99)
+    seen = set()
+    for _ in range(WITNESS_DRAWS[name]):
+        I = random_ideal(A, rng)
+        if I.dim == 0 or I.basis_matrix in seen:
+            continue
+        seen.add(I.basis_matrix)
+        ctx = ClassContext(A, I)
+        for mode, member in (("P", is_p_member), ("S", is_s_member)):
+            C, (B, _, _), outside = satz25_search(ctx, mode=mode)
+            assert member(ctx, C), (name, I.basis_matrix, mode)
+            assert outside and not member(ctx, B), (name, I.basis_matrix, mode)
+            assert B.dim == 2 * C.dim
+    assert seen

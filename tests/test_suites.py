@@ -1,14 +1,16 @@
 import hashlib
+import json
 
 import pytest
 
-from matlislab import classes, suites
+from matlislab import classes, cli, ext, suites
 from matlislab.errors import MatlisLabError
+from matlislab.fixtures import fixture_from_dict
 from matlislab.modules import annihilator_submodule, ideal_times_module
 from matlislab.report import CheckRecord, Report, check
 from matlislab.suites import SUITES, run_suite
 
-from conftest import FIXTURE_NAMES, load
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, load
 
 SUITE_NAMES = sorted(SUITES)
 
@@ -25,7 +27,7 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suite_green_on_every_fixture(fixtures, suite):
     for fx in fixtures.values():
-        rep = run_suite(fx, suite, trials=5, budget=150)
+        rep = run_suite(fx, suite, trials=5)
         assert not rep.has_fail(), rep.render()
 
 
@@ -94,6 +96,47 @@ def test_closure_degenerate_fail_names_conditions(r3, monkeypatch):
     assert rec.witness == "nonzero on the zero module: dim kappa=1"
 
 
+def _zero_ext1(C, A, cover=None):
+    return ext.Ext1Space(C, A, ext.free_cover(C), 0, ())
+
+
+# each fault breaks one step of the satz25 construction: the membership
+# test says "member", or Ext^1 comes back zero
+SATZ25_FAULTS = {
+    "member": (
+        {"is_p_member": lambda ctx, M: True, "is_s_member": lambda ctx, M: True},
+        "from the first class of Ext^1 stays in ",
+    ),
+    "ext1-zero": ({"ext1": _zero_ext1}, "Ext^1(C, C) = 0 for C of dim "),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SATZ25_FAULTS))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_satz25_failed_witness_is_fail_record(monkeypatch, capsys, name, fault):
+    patches, cause = SATZ25_FAULTS[fault]
+    for attr, value in patches.items():
+        monkeypatch.setattr(ext, attr, value)
+    records = run_suite(load(name), "satz25").records
+    assert [r.name for r in records] == ["satz25-P", "satz25-S"]
+    for rec in records:
+        assert rec.status == "FAIL" and cause in rec.witness, rec.render()
+    path = str(FIXTURE_DIR / (name + ".json"))
+    assert cli.main(["verify", "satz25", "--fixture", path]) == 1
+    assert capsys.readouterr().out.endswith("total=2 pass=0 fail=2\n")
+
+
+@pytest.mark.parametrize("ideal", [[], [[[1, 1, [0]]]]], ids=["zero", "unit"])
+def test_satz25_trivial_ideals_closed(ideal):
+    doc = json.loads((FIXTURE_DIR / "R3.json").read_text())
+    doc["ideal"] = ideal
+    rendered = [r.render() for r in run_suite(fixture_from_dict(doc, name="R3"), "satz25").records]
+    assert rendered == [
+        "CHECK satz25-P R3 PASS ClosedTrivially (tested=0)",
+        "CHECK satz25-S R3 PASS ClosedTrivially (tested=0)",
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_default_report_bytes_pinned(name):
     # a freshly parsed fixture: nothing memoized by earlier tests is reused,
@@ -102,10 +145,9 @@ def test_default_report_bytes_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest()[:12] == REPORT_DIGESTS[name]
 
 
-@pytest.mark.parametrize("kwargs", [{"trials": -1}, {"budget": -5}])
-def test_negative_trials_or_budget_rejected(r3, kwargs):
+def test_negative_trials_rejected(r3):
     with pytest.raises(MatlisLabError):
-        run_suite(r3, "lemma11", **kwargs)
+        run_suite(r3, "lemma11", trials=-1)
 
 
 def test_unknown_suite_rejected(r3):
