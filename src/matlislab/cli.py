@@ -20,14 +20,7 @@ import sys
 
 from .classes import gamma, is_p_member, is_s_member, kappa, uniserial_s
 from .duality import matlis_dual
-from .errors import (
-    FixtureParseError,
-    FixtureValidationError,
-    MatlisLabError,
-    NotUniserial,
-    OutputPathError,
-    UnknownModuleRef,
-)
+from .errors import FixtureParseError, MatlisLabError, OutputPathError
 from .fixtures import format_submodule, format_vector, parse_fixture
 from .modules import hom_space, uniserial_chain
 from .suites import SUITES, run_suite
@@ -165,14 +158,6 @@ def main(argv=None):
                 % (A.dim, ",".join(A.variables), A.bound, len(A.basis))
             )
             return 0
-    except (
-        FixtureParseError,
-        FixtureValidationError,
-        UnknownModuleRef,
-        NotUniserial,
-    ) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except MatlisLabError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -15,7 +15,7 @@ from .modules import FModule, ModuleMap, Submodule, regular_module
 def matlis_dual(M):
     """The dual module: same dimension, transposed actions."""
     actions = [linalg.transpose(a) for a in M.actions]
-    return FModule(M.parent, actions, check=False)
+    return FModule(M.parent, actions)
 
 
 def injective_cogenerator(A):

@@ -33,6 +33,10 @@ class NotUniserial(MatlisLabError):
     pass
 
 
+class NotARepresentation(MatlisLabError):
+    """Matrices given for the variables are not an action of the algebra."""
+
+
 class NotEquivariant(MatlisLabError):
     pass
 

@@ -224,7 +224,7 @@ def extension_from_class(ext_space, cocycle):
     for i, (act_a, act_c) in enumerate(zip(A.actions, C.actions)):
         top = tuple(ra + rt[i * c:(i + 1) * c] for ra, rt in zip(act_a, theta))
         actions.append(top + tuple(zero_left + rc for rc in act_c))
-    B = FModule(A.parent, actions, check=False)
+    B = FModule(A.parent, actions)
     ident = linalg.identity(a + c, f)
     iota = ModuleMap(A, B, tuple(row[:a] for row in ident), check=False)
     pi = ModuleMap(B, C, ident[a:], check=False)

@@ -19,8 +19,8 @@ Module specs: {"type": "regular"}, {"type": "residue-field"},
 {"type": "presentation", "rank": t, "columns": [[element, ...], ...]},
 {"type": "explicit", "dim": d, "actions": {"x": matrix, ...}} with one
 row-major matrix per variable (entries [num, den] over Q, residues over
-F_p); actions of the other basis monomials are derived from the variable
-actions and verified against the representation law.
+F_p); algebra.actions_from_variables derives the actions of the other
+basis monomials from them and certifies the representation law.
 
 Size limits; a larger input raises FixtureValidationError before the
 matrices it asks for are built.  Each is computed from the numbers of
@@ -35,12 +35,12 @@ the document:
 - an explicit module's ``dim``, and the dimension rank * dim(R) of a
   presentation's free module R^rank, are at most ``MAX_MODULE_DIM``;
 - an explicit module's dim(R) action matrices, stacked, have at most
-  ``MAX_ACTION_ROWS`` rows: checking the representation law multiplies
-  dim(R)^2 pairs of them, so its cost grows as dim(R)^2 * dim^3.
+  ``MAX_ACTION_ROWS`` rows: certifying the representation law takes at
+  most (dim(R) - 1)^2 products of dim x dim matrices.
 
 With coefficients of one digit, a fixture at these limits builds in at
 most about 5 s: two dense relations in x at N = 127 take 5 s, one 2.3 s,
-and a dense explicit module of dimension 128 over k[x]/(x^3) 2.3 s.
+and a dense explicit module of dimension 128 over k[x]/(x^3) 0.3 s.
 Exact elimination grows with the size of the coefficients too, which
 no limit bounds: one dense relation in x at N = 127 with 20-digit
 coefficients takes about 100 s.  The largest shipped or benchmark
@@ -50,12 +50,19 @@ algebra of dimension 10.
 
 import json
 
-from .algebra import Presentation, build_algebra, ideal_from_generators
+from .algebra import (
+    Presentation,
+    actions_from_variables,
+    build_algebra,
+    format_monomial,
+    ideal_from_generators,
+)
 from .classes import class_context
 from .duality import injective_cogenerator
 from .errors import (
     FixtureParseError,
     FixtureValidationError,
+    MatlisLabError,
     UnknownModuleRef,
 )
 from .fields import field_from_spec
@@ -261,32 +268,12 @@ def _build_module(A, field, nvars, mname, spec):
                 len(_json(r, list, "%s: action row" % where)) != dim for r in mat
             ):
                 raise FixtureValidationError("%s: action matrix must be %dx%d" % (where, dim, dim))
-            var_mats[vname] = tuple(
-                tuple(_scalar(field, x, where) for x in row) for row in mat
-            )
-        zero = linalg.zeros(dim, dim, field)
-        for vname in A.variables:
-            var_mats.setdefault(vname, zero)
-        # derive actions of all basis monomials from the variable matrices
-        actions = []
-        for exps in A.basis:
-            mat = linalg.identity(dim, field)
-            for vi, e in enumerate(exps):
-                vm = var_mats[A.variables[vi]]
-                for _ in range(e):
-                    mat = linalg.mat_mul(vm, mat, field)
-            actions.append(mat)
+            var_mats[vname] = tuple(tuple(_scalar(field, x, where) for x in row) for row in mat)
+        mats = [var_mats.get(v, linalg.zeros(dim, dim, field)) for v in A.variables]
         try:
-            M = FModule(A, actions, check=True)
-        except Exception as exc:
+            return FModule(A, actions_from_variables(A, mats))
+        except MatlisLabError as exc:
             raise FixtureValidationError("%s: %s" % (where, exc))
-        # declared variable matrices must agree with the reduced variables
-        for vi, vname in enumerate(A.variables):
-            if M.action_of(A.var_elements[vi]) != var_mats[vname]:
-                raise FixtureValidationError(
-                    "%s: action of %s disagrees with its normal form" % (where, vname)
-                )
-        return M
     raise FixtureValidationError("%s: unknown module spec type %r" % (where, kind))
 
 
@@ -316,7 +303,7 @@ def format_element(A, vec):
     for i, c in enumerate(vec):
         if not c:
             continue
-        mono = _format_monomial(A, A.basis[i])
+        mono = format_monomial(A, A.basis[i])
         s = str(c)
         if mono == "1":
             parts.append(s)
@@ -325,18 +312,6 @@ def format_element(A, vec):
         else:
             parts.append("%s*%s" % (s, mono))
     return " + ".join(parts) if parts else "0"
-
-
-def _format_monomial(A, exps):
-    if sum(exps) == 0:
-        return "1"
-    out = []
-    for name, e in zip(A.variables, exps):
-        if e == 1:
-            out.append(name)
-        elif e > 1:
-            out.append("%s^%d" % (name, e))
-    return "*".join(out)
 
 
 def element_terms(A, vec):

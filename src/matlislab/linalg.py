@@ -315,7 +315,8 @@ def identity(n, field):
 
 
 def zeros(m, n, field):
-    return tuple(tuple(field.zero for _ in range(n)) for _ in range(m))
+    # rows are immutable, so one row tuple serves every row
+    return ((field.zero,) * n,) * m
 
 
 def mat_mul(a, b, field):
@@ -416,6 +417,19 @@ def mat_add(a, b, field):
 
 def mat_scale(c, a, field):
     return tuple(tuple(field.mul(c, x) for x in row) for row in a)
+
+
+def combination(coeffs, mats, n, field):
+    """sum_i coeffs[i] * mats[i] of n x n matrices; a lone 1 * mats[i] is mats[i]."""
+    terms = [(c, a) for c, a in zip(coeffs, mats) if c]
+    if not terms:
+        return zeros(n, n, field)
+    if len(terms) == 1 and terms[0][0] == field.one:
+        return terms[0][1]
+    out = mat_scale(*terms[0], field)
+    for c, a in terms[1:]:
+        out = mat_add(out, mat_scale(c, a, field), field)
+    return out
 
 
 def transpose(a):

@@ -23,12 +23,16 @@ from .errors import (
 class FModule:
     """A finite-length module over an Artinian local algebra.
 
+    The constructor trusts its actions: the library's constructions
+    produce representations, and matrices read from a fixture are
+    certified by algebra.actions_from_variables first.
+
     Immutable after construction, so data derived from it is kept on it:
     the generator actions, and I*M and M[I] in dicts keyed by the ideal's
     basis_matrix, so that equal ideals share one entry.
     """
 
-    def __init__(self, parent, actions, check=True):
+    def __init__(self, parent, actions):
         self.parent = parent
         self.actions = tuple(tuple(tuple(r) for r in a) for a in actions)
         self.dim = len(self.actions[0]) if self.actions and self.actions[0] else 0
@@ -36,44 +40,11 @@ class FModule:
         self._products_memo = {}  # I*M
         self._annihilated_memo = {}  # M[I]
         if len(self.actions) != parent.dim:
-            raise NotASubmodule(
-                "need one action matrix per algebra basis element"
-            )
-        if check:
-            self._check_representation()
-
-    def _check_representation(self):
-        A = self.parent
-        f = A.field
-        n = self.dim
-        ident = linalg.identity(n, f)
-        if self.actions[0] != ident:
-            raise NotASubmodule("action of 1 is not the identity")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                prod = linalg.mat_mul(self.actions[i], self.actions[j], f)
-                expect = linalg.zeros(n, n, f)
-                for k, c in enumerate(A.mult_table[i][j]):
-                    if c:
-                        expect = linalg.mat_add(
-                            expect, linalg.mat_scale(c, self.actions[k], f), f
-                        )
-                if prod != expect:
-                    raise NotASubmodule("representation law fails at (%d, %d)" % (i, j))
+            raise NotASubmodule("need one action matrix per algebra basis element")
 
     def action_of(self, u):
         """Action matrix of an arbitrary ring element (coordinate vector)."""
-        f = self.parent.field
-        terms = [(i, c) for i, c in enumerate(u) if c]
-        if not terms:
-            return linalg.zeros(self.dim, self.dim, f)
-        if len(terms) == 1 and terms[0][1] == f.one:
-            return self.actions[terms[0][0]]
-        i, c = terms[0]
-        out = linalg.mat_scale(c, self.actions[i], f)
-        for i, c in terms[1:]:
-            out = linalg.mat_add(out, linalg.mat_scale(c, self.actions[i], f), f)
-        return out
+        return linalg.combination(u, self.actions, self.dim, self.parent.field)
 
     def generator_actions(self):
         """Action matrices of the algebra variables; they generate with 1.
@@ -228,7 +199,7 @@ def generated_submodule(M, vectors):
 
 def regular_module(A):
     """R as a module over itself: actions are left multiplication."""
-    return FModule(A, A.left_mult, check=False)
+    return FModule(A, A.left_mult)
 
 
 def residue_field_module(A):
@@ -236,11 +207,11 @@ def residue_field_module(A):
     f = A.field
     one = ((f.one,),)
     zero = ((f.zero,),)
-    return FModule(A, [one] + [zero] * (A.dim - 1), check=False)
+    return FModule(A, [one] + [zero] * (A.dim - 1))
 
 
 def zero_module(A):
-    return FModule(A, [() for _ in range(A.dim)], check=False)
+    return FModule(A, [() for _ in range(A.dim)])
 
 
 def _require_same_parent(a, b):
@@ -399,7 +370,7 @@ def quotient_module(M, U):
     for act in M.actions:
         lifted = tuple(tuple(row[j] for j in free) for row in act)
         actions.append(linalg.mat_mul(proj, lifted, f))
-    Q = FModule(M.parent, actions, check=False)
+    Q = FModule(M.parent, actions)
     return Q, ModuleMap(M, Q, proj, check=False)
 
 
@@ -417,7 +388,7 @@ def _block_diagonal(A, summands):
             rows.extend(left + row + right for row in M.actions[i])
             lo += M.dim
         actions.append(rows)
-    return FModule(A, actions, check=False)
+    return FModule(A, actions)
 
 
 def _unit_block(n, lo, d, f):
@@ -519,7 +490,7 @@ def submodule_as_module(U):
     actions = [
         linalg.mat_mul(tuple(act[p] for p in U.pivots), incl, f) for act in M.actions
     ]
-    Umod = FModule(M.parent, actions, check=False)
+    Umod = FModule(M.parent, actions)
     return Umod, ModuleMap(Umod, M, incl, check=False)
 
 
@@ -575,4 +546,4 @@ def cokernel_of_presentation(A, rank, columns):
                     col = v if col is zero else tuple(map(f.add, col, v))
             cols.append(col)
         actions.append(linalg.transpose(cols))
-    return FModule(A, actions, check=False)
+    return FModule(A, actions)

@@ -26,6 +26,12 @@
 - Constructions only tests use: the zero ideal, sums of ideals, colon
   submodules, the essential and small tests, and the zero cocycle.
 - A rescaled copy of a module, whose actions have denominators over Q.
+- The representation law checked pair by pair: associativity of the
+  multiplication table over all dim^3 triples of basis elements, and
+  A_i A_j = sum_l (b_i b_j)_l A_l over all dim^2 pairs of actions
+  derived from the variable matrices.  The library generates the
+  actions from the variables and checks one product per standard
+  variable and basis monomial.
 - A search for module isomorphisms.  It is randomized over Q and large
   F_p, so it certifies an isomorphism when it finds one but proves
   nothing when it does not.
@@ -34,6 +40,7 @@
 from matlislab import linalg
 from matlislab.algebra import (
     Ideal,
+    actions_from_variables,
     annihilator_of_ideal,
     ideal_product,
     minimal_generators,
@@ -349,8 +356,55 @@ def rescaled(M):
               for i in range(M.dim))
     d_inv = tuple(tuple(f.inv(scale[i]) if i == j else f.zero for j in range(M.dim))
                   for i in range(M.dim))
-    return FModule(M.parent, [linalg.mat_mul(linalg.mat_mul(d, a, f), d_inv, f)
-                              for a in M.actions])
+    return certified_module(M.parent, [linalg.mat_mul(linalg.mat_mul(d, a, f), d_inv, f)
+                                       for a in M.actions])
+
+
+def certified_module(A, actions):
+    """FModule(A, actions) once the library's certificate, run on the
+    actions of the variables, regenerates exactly these actions."""
+    M = FModule(A, actions)
+    if actions_from_variables(A, M.generator_actions()) != M.actions:
+        raise NotASubmodule("actions are not generated by the variables")
+    return M
+
+
+def is_associative(A):
+    """(b_i b_j) b_k = b_i (b_j b_k) for all dim^3 triples of basis elements."""
+    f = A.field
+    units = [tuple(f.one if r == k else f.zero for r in range(A.dim)) for k in range(A.dim)]
+    return all(
+        A.multiply(A.mult_table[i][j], units[k]) == A.multiply(units[i], A.mult_table[j][k])
+        for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)
+    )
+
+
+def derived_actions(A, var_mats):
+    """The action of each basis monomial x^e as the product of the
+    variable matrices, the first variable innermost."""
+    f = A.field
+    n = len(var_mats[0])
+    actions = []
+    for exps in A.basis:
+        mat = linalg.identity(n, f)
+        for vi, e in enumerate(exps):
+            for _ in range(e):
+                mat = linalg.mat_mul(var_mats[vi], mat, f)
+        actions.append(mat)
+    return actions
+
+
+def is_representation_by_pairs(A, var_mats):
+    """The derived actions satisfy A_i A_j = sum_l (b_i b_j)_l A_l for all
+    dim^2 pairs, and each variable matrix is the action of its normal form."""
+    f = A.field
+    actions = derived_actions(A, var_mats)
+    M = FModule(A, actions)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if linalg.mat_mul(actions[i], actions[j], f) != M.action_of(A.mult_table[i][j]):
+                return False
+    return all(M.action_of(v) == mat for v, mat in zip(A.var_elements, var_mats))
 
 
 def find_isomorphism(M, N, rng=None, tries=200):

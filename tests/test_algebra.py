@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from reference import ideal_sum, zero_ideal
+from reference import ideal_sum, is_associative, zero_ideal
 from matlislab.algebra import (
+    Algebra,
     Presentation,
+    _validate_algebra,
     annihilator_of_ideal,
     build_algebra,
     ideal_from_generators,
@@ -12,7 +15,7 @@ from matlislab.algebra import (
     minimal_generators,
     unit_ideal,
 )
-from matlislab.errors import BoundNotCertified, FixtureValidationError
+from matlislab.errors import BoundNotCertified, FixtureValidationError, MatlisLabError
 from matlislab.fields import PrimeField, QQ
 
 F = Fraction
@@ -140,3 +143,43 @@ def test_is_iso_to_regular(R3, KXY):
 def test_degree_zero_relation_rejected():
     with pytest.raises(Exception):
         _build(QQ, ["x"], [[(F(1), (0,))]], 3)
+
+
+def _corrupted(A, rng):
+    """A with one or two entries of its multiplication table replaced,
+    each together with its mirror entry, so the table stays commutative."""
+    table = [[list(c) for c in row] for row in A.mult_table]
+    for _ in range(rng.randint(1, 2)):
+        i, j, r = (rng.randrange(A.dim) for _ in range(3))
+        table[i][j][r] = table[j][i][r] = A.field.of(rng.randint(-2, 2))
+    table = tuple(tuple(tuple(c) for c in row) for row in table)
+    return Algebra(A.field, A.variables, A.bound, A.basis, table, A.var_elements)
+
+
+def test_certificate_rejects_every_non_associative_table(fixtures):
+    """The generated-action certificate rejects every corrupted table that
+    the dim^3 associativity loop rejects, and some associative ones whose
+    basis monomials are not the products of their variables."""
+    algebras = [fixtures[name].algebra for name in ("R3", "R4", "KXY", "V2")] + [
+        _build(QQ, ["x"], [[(F(1), (8,))]], 8),
+        _build(QQ, ["x", "y"], [[(F(1), (2, 0))], [(F(1), (0, 3))]], 4),
+        _build(QQ, ["x", "y"], [[(F(1), (1, 0)), (F(-1), (0, 2))], [(F(1), (0, 4))]], 4),
+    ]
+    non_associative = stricter = 0
+    for seed, A in enumerate(algebras):
+        assert is_associative(A)
+        _validate_algebra(A)
+        rng = random.Random(seed)
+        for _ in range(60):
+            B = _corrupted(A, rng)
+            try:
+                _validate_algebra(B)
+                error = ""
+            except MatlisLabError as exc:
+                error = str(exc)
+            if not is_associative(B):
+                assert error
+                non_associative += 1
+            elif "not the product of its variables" in error:
+                stricter += 1
+    assert non_associative and stricter

@@ -187,3 +187,22 @@ def test_malformed_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_defect_in_module_certificate_is_exit_three(tmp_path, monkeypatch, capsys):
+    """An exception from the representation certificate that is not a
+    MatlisLabError is a defect, not bad input: exit 3, not 2."""
+    doc = json.loads(open(fix("R3"), encoding="utf-8").read())
+    doc["modules"] = {"X": {"type": "explicit", "dim": 2, "actions": {"x": [[0, 0], [1, 0]]}}}
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["ring", "check", "--fixture", str(path)]) == 0
+
+    def broken(*args, **kwargs):
+        raise TypeError("defect in the certificate")
+
+    monkeypatch.setattr("matlislab.fixtures.actions_from_variables", broken)
+    assert main(["ring", "check", "--fixture", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: internal error: TypeError: defect in the certificate\n"
+    )

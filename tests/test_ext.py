@@ -2,6 +2,7 @@ import pytest
 
 from reference import (
     Ext1ByHomOfFree,
+    certified_module,
     extension_by_pushout,
     find_isomorphism,
     rescaled,
@@ -22,7 +23,6 @@ from matlislab.ext import (
 from matlislab.algebra import unit_ideal
 from matlislab.classes import ClassContext
 from matlislab.modules import (
-    FModule,
     ModuleMap,
     direct_power,
     direct_sum,
@@ -152,7 +152,7 @@ def test_extension_is_equivalent_to_pushout(fixtures, extra_fixtures, name):
                 es = ext1(C, Aend, cover=cov)
                 for h in es.representatives[:2]:
                     B, iota, pi = extension_from_class(es, h)
-                    FModule(B.parent, B.actions, check=True)
+                    certified_module(B.parent, B.actions)
                     old, old_iota, old_pi, lift = extension_by_pushout(es, h)
                     phi = _equivalence(es, h, lift)
                     for act_old, act_new in zip(old.actions, B.actions):

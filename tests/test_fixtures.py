@@ -1,15 +1,18 @@
 import json
+import random
 import time
 
 import pytest
 
+from reference import is_representation_by_pairs
 from matlislab.cli import main
 from matlislab.errors import (
     FixtureParseError,
     FixtureValidationError,
+    NotARepresentation,
     UnknownModuleRef,
 )
-from matlislab.algebra import MAX_ALGEBRA_DIM
+from matlislab.algebra import MAX_ALGEBRA_DIM, actions_from_variables
 from matlislab.fixtures import (
     MAX_ACTION_ROWS,
     MAX_MODULE_DIM,
@@ -233,14 +236,68 @@ def test_explicit_module_spec():
     assert M.action_of(x)[1][0] == 1
 
 
+KXY_DOC = dict(R3_DOC, name="KXY", vars=["x", "y"],
+               relations=[[[1, 1, [2, 0]]], [[1, 1, [0, 2]]]], ideal=[])
+# k[y]/(y^4) with x = y^2; the basis is 1, y, x, xy
+X_IS_Y2_DOC = dict(KXY_DOC, name="x=y^2",
+                   relations=[[[1, 1, [1, 0]], [-1, 1, [0, 2]]], [[1, 1, [0, 4]]]],
+                   nilpotency=4)
+# k[y]/(y^2) with x = y; x is not a basis monomial
+X_IS_Y_DOC = dict(KXY_DOC, name="x=y", relations=[[[1, 1, [1, 0]], [-1, 1, [0, 1]]],
+                                                  [[1, 1, [0, 2]]]], nilpotency=2)
+
+
 def test_explicit_module_invalid_representation():
-    # x acts with x^3 != 0 on a 1-dim space: scalar 1 has cube 1 != 0
-    doc = dict(
-        R3_DOC,
-        modules={"M": {"type": "explicit", "dim": 1, "actions": {"x": [[1]]}}},
-    )
-    with pytest.raises(FixtureValidationError):
-        fixture_from_dict(doc)
+    cases = [
+        # x acts with x^3 != 0 on a 1-dim space: scalar 1 has cube 1 != 0
+        (R3_DOC, {"x": [[1]]}, "x times the action of x^2 breaks the representation law"),
+        # x^2 = y^2 = 0, but xy != yx
+        (KXY_DOC, {"x": [[0, 0], [1, 0]], "y": [[0, 1], [0, 0]]},
+         "x times the action of y breaks the representation law"),
+        # y^2 = 0 is not the declared x
+        (X_IS_Y2_DOC, {"x": [[0, 0], [1, 0]], "y": [[0, 0], [1, 0]]},
+         "y times the action of y breaks the representation law"),
+        # x = y, but the declared x is not the declared y
+        (X_IS_Y_DOC, {"x": [[0, 0], [1, 0]], "y": [[0, 0], [2, 0]]},
+         "action of x disagrees with its normal form"),
+    ]
+    for doc, actions, message in cases:
+        doc = dict(doc, modules={"M": {"type": "explicit", "dim": len(actions["x"]),
+                                       "actions": actions}})
+        with pytest.raises(FixtureValidationError) as e:
+            fixture_from_dict(doc)
+        assert str(e.value) == "module 'M': " + message
+
+
+def test_explicit_module_certificate_matches_pairwise_law(fixtures):
+    """On random strictly lower-triangular variable matrices, the library's
+    certificate accepts exactly what the pairwise representation law and
+    the normal-form agreement accept."""
+    algebras = [fixtures[name].algebra for name in ("R3", "R4", "KXY", "V2")] + [
+        fixture_from_dict(doc).algebra
+        for doc in (dict(R3_DOC, relations=[[[1, 1, [8]]]], nilpotency=8),
+                    dict(KXY_DOC, relations=[[[1, 1, [2, 0]]], [[1, 1, [0, 3]]]], nilpotency=4),
+                    X_IS_Y2_DOC, X_IS_Y_DOC)
+    ]
+    verdicts = {True: 0, False: 0}
+    for seed, A in enumerate(algebras):
+        rng = random.Random(seed)
+        f = A.field
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            var_mats = [
+                tuple(tuple(f.of(rng.choice((0, 0, 0, 1, -1, 2))) if c < r else f.zero
+                            for c in range(n)) for r in range(n))
+                for _ in A.variables
+            ]
+            try:
+                actions_from_variables(A, var_mats)
+                accepted = True
+            except NotARepresentation:
+                accepted = False
+            assert accepted == is_representation_by_pairs(A, var_mats)
+            verdicts[accepted] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_presentation_module_spec(r3):

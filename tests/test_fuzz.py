@@ -115,13 +115,38 @@ PATHS = [p for p in _paths(BASE) if p]
 LEAVES = [p for p in PATHS if not isinstance(_at(BASE, p), (dict, list))]
 
 
+# two-variable algebras for explicit modules: k[x,y]/(x^2, y^2), and
+# k[y]/(y^4) with x = y^2, whose relation is not a monomial
+TWO_VARIABLE = [
+    dict(BASE, vars=["x", "y"], relations=[[[1, 1, [2, 0]]], [[1, 1, [0, 2]]]], ideal=[]),
+    dict(BASE, vars=["x", "y"], relations=[[[1, 1, [1, 0]], [-1, 1, [0, 2]]], [[1, 1, [0, 4]]]],
+         nilpotency=4, ideal=[]),
+]
+ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2]) | st.integers(-3, 3)
+
+
+@st.composite
+def explicit_modules(draw):
+    """A two-variable algebra with an explicit module of small random
+    matrices; most of them do not commute or are not nilpotent."""
+    dim = draw(st.integers(0, 3))
+    matrix = st.lists(st.lists(ENTRY, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    actions = draw(st.dictionaries(st.sampled_from(["x", "y"]), matrix, max_size=2))
+    return dict(draw(st.sampled_from(TWO_VARIABLE)),
+                modules={"X": {"type": "explicit", "dim": dim, "actions": actions}})
+
+
 @st.composite
 def fixture_docs(draw):
-    """BASE with whole keys redrawn (a third of the examples), or with one
-    or two positions replaced: mostly scalars and mostly by integers, small
-    or of any size, since most of the checks sit at the leaves."""
+    """BASE with whole keys redrawn (a quarter of the examples), an
+    explicit module over a two-variable algebra (a quarter), or BASE with
+    one or two positions replaced: mostly scalars and mostly by integers,
+    small or of any size, since most of the checks sit at the leaves."""
     doc = dict(BASE)
-    if draw(st.integers(0, 2)) == 0:
+    branch = draw(st.integers(0, 3))
+    if branch == 1:
+        return draw(explicit_modules())
+    if branch == 0:
         keys = st.lists(st.sampled_from(sorted(VALUES)), min_size=1, max_size=3, unique=True)
         for key in draw(keys):
             doc[key] = draw(VALUES[key])
