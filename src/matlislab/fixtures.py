@@ -175,13 +175,6 @@ def fixture_from_dict(doc, name="<fixture>"):
         _term_list(field, rel, nvars, "relation %d" % i)
         for i, rel in enumerate(_json(doc["relations"], list, "relations"))
     ]
-    for i, rel in enumerate(relations):
-        for coeff, exps in rel:
-            if sum(exps) < 1 and coeff != field.zero:
-                raise FixtureValidationError(
-                    "relation %d has a degree-0 term: residue field must equal "
-                    "the coefficient field" % i
-                )
     nilpotency = _integer(doc["nilpotency"], "nilpotency")
     if nilpotency >= 1:
         if _monomial_count(nvars, nilpotency, MAX_MONOMIALS) > MAX_MONOMIALS:

@@ -149,9 +149,6 @@ class ModuleMap:
     def is_surjective(self):
         return self.rank() == self.target.dim
 
-    def image(self):
-        return submodule_from_spanning(self.target, linalg.transpose(self.matrix))
-
     def kernel(self):
         if not self.matrix:
             return self.source.full_submodule()

@@ -168,22 +168,25 @@ def suite_satz22(fx, trials, rng):
 def suite_satz25(fx, trials, rng):
     # the PASS texts, "tested=0" and "after 1 extensions" included, are
     # fixed by the pinned report digests
-    records = []
-    for mode in ("P", "S"):
-        name = "satz25-%s" % mode
-        found = satz25_search(fx.ctx, mode=mode)
-        if found is None:
-            records.append(CheckRecord(name, fx.name, PASS, "ClosedTrivially (tested=0)"))
-            continue
-        C, extension, outside = found
-        if extension is None:
-            witness = "Ext^1(C, C) = 0 for C of dim %d: no extension to test" % C.dim
+    names = ("satz25-P", "satz25-S")
+    found = satz25_search(fx.ctx)
+    if found is None:
+        return [CheckRecord(name, fx.name, PASS, "ClosedTrivially (tested=0)") for name in names]
+    classes, witnesses = found
+    if not witnesses:
+        dim = fx.ctx.I.dim
+        if classes:
+            cause = "no class of Ext^1(C, C) gives Ann(I)*B != 0 for C of dim %d" % dim
         else:
-            witness = "0 -> dim%d -> dim%d -> dim%d -> 0 " % (C.dim, extension[0].dim, C.dim)
-            if outside:
-                witness += "after 1 extensions"
-            else:
-                witness += "from the first class of Ext^1 stays in %s" % mode
+            cause = "Ext^1(C, C) = 0 for C of dim %d: no extension to test" % dim
+        return [CheckRecord(name, fx.name, FAIL, cause) for name in names]
+    records = []
+    for name, (C, (B, _, _), outside) in zip(names, witnesses):
+        witness = "0 -> dim%d -> dim%d -> dim%d -> 0 " % (C.dim, B.dim, C.dim)
+        if outside:
+            witness += "after 1 extensions"
+        else:
+            witness += "stays in %s although Ann(I)*B != 0" % name[-1]
         records.append(CheckRecord(name, fx.name, PASS if outside else FAIL, witness))
     return records
 

@@ -24,7 +24,8 @@
   ClassContext, I*M and M[I], computed afresh from k-bases where the
   library keeps them by the value of the ideal.
 - Constructions only tests use: the zero ideal, sums of ideals, colon
-  submodules, the essential and small tests, and the zero cocycle.
+  submodules, the essential and small tests, the zero cocycle, the
+  image of a map, and the short-exactness test of a pair of maps.
 - A rescaled copy of a module, whose actions have denominators over Q.
 - The representation law checked pair by pair: associativity of the
   multiplication table over all dim^3 triples of basis elements, and
@@ -252,6 +253,25 @@ def zero_cocycle(space):
     )
 
 
+def image(phi):
+    """The image of a module map, spanned by the columns of its matrix."""
+    return submodule_from_spanning(phi.target, linalg.transpose(phi.matrix))
+
+
+def is_short_exact(iota, pi):
+    """0 -> A -> B -> C -> 0 for iota: A -> B and pi: B -> C: both maps
+    equivariant (NotEquivariant otherwise), iota injective, pi
+    surjective, and im iota = ker pi."""
+    for phi in (iota, pi):
+        ModuleMap(phi.source, phi.target, phi.matrix, check=True)
+    return (
+        iota.target is pi.source
+        and iota.is_injective()
+        and pi.is_surjective()
+        and image(iota) == pi.kernel()
+    )
+
+
 def hom_gamma(ctx, M):
     """The trace of I in M: the span of the images of a basis of Hom(I, M)."""
     rows = []
@@ -319,7 +339,7 @@ def lower_star(ctx, M, W, e):
     if not e.is_injective():
         raise NotInjectiveAmbient("embedding is not injective")
     f = M.parent.field
-    eM = e.image()
+    eM = image(e)
     col = colon_submodule(eM, ctx.I, W)
     S = ideal_times_submodule(ctx.I, col)
     funcs = linalg.vanishing_functionals(S.basis_matrix, W.dim, f)

@@ -12,6 +12,7 @@ import pytest
 from reference import (
     embed_into_injective,
     image_in_quotient,
+    is_short_exact,
     lower_star,
     upper_star,
     zero_ideal,
@@ -27,6 +28,7 @@ from matlislab.classes import (
     epi_onto_r_mod_ann_exists,
     gamma,
     is_p_member,
+    is_s_member,
     kappa,
     submodule_counterexample,
     uniserial_duality,
@@ -127,20 +129,17 @@ def test_criterion_4_epi_dichotomy(r3, kxy):
 
 def test_criterion_5_extension_witness(r3):
     t0 = time.time()
-    for mode in ("P", "S"):
-        C, (B, iota, pi), outside = satz25_search(r3.ctx, mode=mode)
-        assert outside, mode
-        from matlislab.classes import is_s_member
-
-        member = is_p_member if mode == "P" else is_s_member
+    _, witnesses = satz25_search(r3.ctx)
+    assert len(witnesses) == 2
+    for member, (C, (B, iota, pi), outside) in zip((is_p_member, is_s_member), witnesses):
+        assert outside
         assert iota.source is C and pi.target is C
         assert member(r3.ctx, C)
         assert not member(r3.ctx, B)
+        assert is_short_exact(iota, pi)
     A = r3.algebra
     for I in (unit_ideal(A), zero_ideal(A)):
-        ctx = ClassContext(A, I)
-        for mode in ("P", "S"):
-            assert satz25_search(ctx, mode=mode) is None
+        assert satz25_search(ClassContext(A, I)) is None
     _report(5, "extension-closure-witness", time.time() - t0, 30)
 
 

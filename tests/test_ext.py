@@ -5,6 +5,7 @@ from reference import (
     certified_module,
     extension_by_pushout,
     find_isomorphism,
+    is_short_exact,
     rescaled,
     zero_cocycle,
     zero_ideal,
@@ -71,8 +72,7 @@ def test_extension_exactness(r3):
     es = ext1(k, k)
     B, iota, pi = extension_from_class(es, es.representatives[0])
     assert B.dim == 2
-    assert iota.is_injective() and pi.is_surjective()
-    assert iota.image() == pi.kernel()
+    assert is_short_exact(iota, pi)
 
 
 def test_zero_class_gives_split_extension(r3):
@@ -352,29 +352,31 @@ def test_cocycle_must_be_equivariant(r3):
 
 
 def test_search_finds_witness_both_modes(r3):
-    for mode in ("P", "S"):
-        C, (B, iota, pi), outside = satz25_search(r3.ctx, mode=mode)
+    ctx = r3.ctx
+    _, witnesses = satz25_search(ctx)
+    for member, (C, (B, iota, pi), outside) in zip((is_p_member, is_s_member), witnesses):
         assert outside
-        member = is_p_member if mode == "P" else is_s_member
         # A = C: both ends are the one class member
         assert iota.source is C and pi.target is C
-        assert member(r3.ctx, C)
-        assert not member(r3.ctx, B)
-        assert iota.is_injective() and pi.is_surjective()
-        assert iota.image() == pi.kernel()
+        assert member(ctx, C)
+        assert not member(ctx, B)
+        assert is_short_exact(iota, pi)
+    # the S witness is the Matlis dual of the P witness
+    (C, (B, iota, pi), _), (Cs, (Bs, iota_s, pi_s), _) = witnesses
+    assert C is ctx.I_mod and Cs == matlis_dual(C) and Bs == matlis_dual(B)
+    assert iota_s.matrix == linalg.transpose(pi.matrix)
+    assert pi_s.matrix == linalg.transpose(iota.matrix)
 
 
 def test_search_closed_for_trivial_ideals(r3):
     A = r3.algebra
     for I in (zero_ideal(A), unit_ideal(A)):
-        ctx = ClassContext(A, I)
-        for mode in ("P", "S"):
-            assert satz25_search(ctx, mode=mode) is None
+        assert satz25_search(ClassContext(A, I)) is None
 
 
 def test_search_deterministic(kxy):
-    _, (b1, _, _), out1 = satz25_search(kxy.ctx, mode="P")
-    _, (b2, _, _), out2 = satz25_search(kxy.ctx, mode="P")
+    _, ((_, (b1, _, _), out1), _) = satz25_search(kxy.ctx)
+    _, ((_, (b2, _, _), out2), _) = satz25_search(kxy.ctx)
     assert out1 == out2
     assert b1.actions == b2.actions
 
@@ -390,8 +392,8 @@ WITNESS_DRAWS = {
 @pytest.mark.parametrize("name", sorted(WITNESS_DRAWS))
 def test_search_witness_for_random_ideals(fixtures, extra_fixtures, name):
     """Beyond the fixtures' own ideals: for every distinct nonzero
-    non-unit ideal drawn, the first class of Ext^1(C, C) gives B outside
-    the class, in both modes."""
+    non-unit ideal drawn, the chosen class of Ext^1(I, I) gives B outside
+    P and its dual outside S."""
     A = {**fixtures, **extra_fixtures}[name].algebra
     rng = Lcg(99)
     seen = set()
@@ -401,8 +403,9 @@ def test_search_witness_for_random_ideals(fixtures, extra_fixtures, name):
             continue
         seen.add(I.basis_matrix)
         ctx = ClassContext(A, I)
-        for mode, member in (("P", is_p_member), ("S", is_s_member)):
-            C, (B, _, _), outside = satz25_search(ctx, mode=mode)
+        _, witnesses = satz25_search(ctx)
+        assert len(witnesses) == 2, (name, I.basis_matrix)
+        for mode, member, (C, (B, _, _), outside) in zip("PS", (is_p_member, is_s_member), witnesses):
             assert member(ctx, C), (name, I.basis_matrix, mode)
             assert outside and not member(ctx, B), (name, I.basis_matrix, mode)
             assert B.dim == 2 * C.dim

@@ -6,6 +6,7 @@ import pytest
 from reference import (
     cokernel_by_free_module,
     colon_submodule,
+    image,
     is_essential,
     is_small,
     rescaled,
@@ -73,7 +74,7 @@ def test_action_of_matches_explicit_combination(request, name):
     unit = tuple(f.one if i == 1 else f.zero for i in range(A.dim))
     scaled = tuple(f.mul(f.of(3), x) for x in unit)
     general = tuple(f.of(i * i - 2) if i != 1 else f.zero for i in range(A.dim))
-    for u in (unit, scaled, general, A.zero()):
+    for u in (unit, scaled, general, (A.field.zero,) * A.dim):
         assert M.action_of(u) == explicit(u)
     assert M.action_of(unit) == M.actions[1]
 
@@ -265,7 +266,7 @@ def test_submodule_as_module_inclusion(r3):
     Umod, incl = submodule_as_module(U)
     assert Umod.dim == 2
     assert incl.is_injective()
-    assert incl.image().basis_matrix == U.basis_matrix
+    assert image(incl).basis_matrix == U.basis_matrix
 
 
 @pytest.mark.parametrize("name", ["R3", "R4", "KXY", "V2"])

@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from matlislab import classes, cli, ext, suites
+from matlislab.algebra import ideal_from_generators
 from matlislab.errors import MatlisLabError
-from matlislab.fixtures import fixture_from_dict
+from matlislab.fixtures import Fixture, format_ideal, fixture_from_dict
 from matlislab.modules import annihilator_submodule, ideal_times_module
 from matlislab.report import CheckRecord, Report, check
 from matlislab.suites import SUITES, run_suite
@@ -101,13 +103,18 @@ def _zero_ext1(C, A, cover=None):
 
 
 # each fault breaks one step of the satz25 construction: the membership
-# test says "member", or Ext^1 comes back zero
+# test says "member", Ext^1 comes back zero, or no class of it seems to
+# give Ann(I)*B != 0
 SATZ25_FAULTS = {
     "member": (
         {"is_p_member": lambda ctx, M: True, "is_s_member": lambda ctx, M: True},
-        "from the first class of Ext^1 stays in ",
+        " although Ann(I)*B != 0",
     ),
     "ext1-zero": ({"ext1": _zero_ext1}, "Ext^1(C, C) = 0 for C of dim "),
+    "no-class": (
+        {"ideal_times_module": lambda I, M: M.zero_submodule()},
+        "no class of Ext^1(C, C) gives Ann(I)*B != 0 for C of dim ",
+    ),
 }
 
 
@@ -135,6 +142,49 @@ def test_satz25_trivial_ideals_closed(ideal):
         "CHECK satz25-P R3 PASS ClosedTrivially (tested=0)",
         "CHECK satz25-S R3 PASS ClosedTrivially (tested=0)",
     ]
+
+
+def _power_of_max_ideal(field, nvars, n):
+    """The fixture document of k[x, y, z][:nvars] / m^n over field."""
+    exps = [list(e) for e in itertools.product(range(n + 1), repeat=nvars) if sum(e) == n]
+    return {"field": field, "vars": ["x", "y", "z"][:nvars],
+            "relations": [[[1, 1, e]] for e in exps], "nilpotency": n}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_satz25_witness_for_x_y2_in_xy_cubed(tmp_path, capsys, field):
+    """k[x,y]/(x,y)^3 with I = (x, y^2): Satz 2.5 holds, but the first
+    basis class of Ext^1(I°, I°) gives a module inside S, so the class
+    that the witness comes from has to be chosen."""
+    doc = dict(_power_of_max_ideal(field, 2, 3), ideal=[[[1, 1, [1, 0]]], [[1, 1, [0, 2]]]])
+    path = tmp_path / "xy3.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "satz25", "--fixture", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("total=2 pass=2 fail=0\n")
+
+
+# (variables, n, distinct monomial ideals with at most 3 generators)
+MONOMIAL_ALGEBRAS = [(2, 3, 12), (2, 4, 39), (3, 2, 7)]
+
+
+@pytest.mark.parametrize("nvars, n, count", MONOMIAL_ALGEBRAS)
+def test_satz25_passes_on_every_monomial_ideal(nvars, n, count):
+    """Satz 2.5 holds for every ideal, so any satz25 FAIL on a valid
+    fixture is a defect: run it on every distinct monomial ideal of
+    k[x, ...]/m^n with at most 3 generators."""
+    fx = fixture_from_dict(_power_of_max_ideal("Q", nvars, n), name="m^%d" % n)
+    A = fx.algebra
+    monomials = [A.element_from_terms([(A.field.one, e)]) for e in A.basis[1:]]
+    seen = set()
+    for r in (1, 2, 3):
+        for gens in itertools.combinations(monomials, r):
+            I = ideal_from_generators(A, list(gens))
+            if I.basis_matrix in seen:
+                continue
+            seen.add(I.basis_matrix)
+            rep = run_suite(Fixture(fx.name, A, I, fx.modules, fx.seed), "satz25")
+            assert not rep.has_fail(), (format_ideal(I), rep.render())
+    assert len(seen) == count
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
