@@ -104,6 +104,9 @@ class Algebra:
         # ideals have equal canonical bases, so they share one entry
         self._generators_memo = {}
         self._context_memo = {}  # filled by classes.class_context
+        # one memo per distinct module, keyed by its actions: filled by
+        # modules._by_ideal_value, emptied by suites.run_suite
+        self._module_memo = {}
 
     def one(self):
         return _unit_vector(self.dim, 0, self.field)

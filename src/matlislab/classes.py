@@ -39,6 +39,7 @@ from .duality import annihilator_in_dual, matlis_dual
 from .errors import NotFree, NotUniserial, ParentMismatch
 from .modules import (
     Submodule,
+    _by_ideal_value,
     ann_ring,
     annihilator_submodule,
     direct_power,
@@ -136,8 +137,13 @@ def gamma(ctx, M, shortcut=True):
     the computation when they coincide; verification suites compare
     both routes.  Otherwise the trace is the span of the slots of the
     solutions (m_1, ..., m_n) of s_1 m_1 + ... + s_n m_n = 0, s running
-    over the syzygies of I.
+    over the syzygies of I.  Each route is computed once per (value of I,
+    value of M) in a suite, and kept on M and the modules equal to it.
     """
+    return _by_ideal_value(("gamma", shortcut), ctx.I, M, lambda: _gamma(ctx, M, shortcut))
+
+
+def _gamma(ctx, M, shortcut):
     if shortcut:
         lower = ideal_times_module(ctx.I, M)
         if lower == annihilator_submodule(M, ctx.ann_i):
@@ -160,8 +166,12 @@ def kappa(ctx, M, shortcut=True):
     """The reject of I° in M: the smallest V with M/V in S.
 
     Without the shortcut: the m that lie in Syz.M inside M^n when put in
-    slot j, for every j.
+    slot j, for every j.  Memoized per route as gamma is.
     """
+    return _by_ideal_value(("kappa", shortcut), ctx.I, M, lambda: _kappa(ctx, M, shortcut))
+
+
+def _kappa(ctx, M, shortcut):
     if shortcut:
         lower = ideal_times_module(ctx.ann_i, M)
         if lower == annihilator_submodule(M, ctx.I):
@@ -182,12 +192,12 @@ def kappa(ctx, M, shortcut=True):
     return Submodule(M, *linalg.kernel(rows, f))
 
 
-def is_p_member(ctx, M, shortcut=True):
-    return gamma(ctx, M, shortcut=shortcut).dim == M.dim
+def is_p_member(ctx, M):
+    return gamma(ctx, M).dim == M.dim
 
 
-def is_s_member(ctx, M, shortcut=True):
-    return kappa(ctx, M, shortcut=shortcut).dim == 0
+def is_s_member(ctx, M):
+    return kappa(ctx, M).dim == 0
 
 
 def duality_transfer(ctx, M):

@@ -28,8 +28,9 @@ class FModule:
     certified by algebra.actions_from_variables first.
 
     Immutable after construction, so data derived from it is kept on it:
-    the generator actions, and I*M and M[I] in dicts keyed by the ideal's
-    basis_matrix, so that equal ideals share one entry.
+    the generator actions, and in ``_memo`` the submodules I*M, M[I], the
+    trace and the reject (see _by_ideal_value).  Equal modules of one
+    algebra share that memo, for one suite.
     """
 
     def __init__(self, parent, actions):
@@ -37,8 +38,7 @@ class FModule:
         self.actions = tuple(tuple(tuple(r) for r in a) for a in actions)
         self.dim = len(self.actions[0]) if self.actions and self.actions[0] else 0
         self._generator_actions = None
-        self._products_memo = {}  # I*M
-        self._annihilated_memo = {}  # M[I]
+        self._memo = None  # taken on first use by _by_ideal_value
         if len(self.actions) != parent.dim:
             raise NotASubmodule("need one action matrix per algebra basis element")
 
@@ -221,18 +221,28 @@ def _require_ideal_over(I, M):
         raise ParentMismatch("ideal and module over different algebras")
 
 
-def _by_ideal_value(memo, I, M, compute):
-    """The submodule compute(), computed once per value of I.
+def _by_ideal_value(route, I, M, compute):
+    """The submodule compute(), computed once per (value of I, value of M,
+    route) in a suite.
 
-    ``memo`` is a dict on M keyed by I's basis_matrix.  It holds the
-    echelon pair, not the Submodule: a Submodule points back to M, and
-    that cycle would keep M alive until the next garbage collection.
+    M's memo is a dict keyed by (I's basis_matrix, route), so equal ideals
+    share one entry.  Equal modules share the memo too: on first use it is
+    taken from the algebra's _module_memo, keyed by the actions, and
+    suites.run_suite empties that after each suite.  Taking it on first
+    use spares hashing the actions of the many modules that are only built
+    on the way to others.  The memo holds the echelon pair, not the
+    Submodule: a Submodule points back to its ambient module, which the
+    memo would then keep alive, and an equal module gets its own.
     """
     _require_ideal_over(I, M)
-    pair = memo.get(I.basis_matrix)
+    memo = M._memo
+    if memo is None:
+        memo = M._memo = M.parent._module_memo.setdefault(M.actions, {})
+    key = (I.basis_matrix, route)
+    pair = memo.get(key)
     if pair is None:
         U = compute()
-        pair = memo[I.basis_matrix] = (U.basis_matrix, U.pivots)
+        pair = memo[key] = (U.basis_matrix, U.pivots)
     return Submodule(M, *pair)
 
 
@@ -260,14 +270,15 @@ def ideal_times_submodule(I, U):
 
 
 def ideal_times_module(I, M):
-    """The submodule I*M, computed once per (M, value of I) and kept on M."""
-    return _by_ideal_value(M._products_memo, I, M, lambda: _ideal_times(I, M, None))
+    """The submodule I*M, computed once per (value of M, value of I) in a
+    suite and kept on M and the modules equal to it."""
+    return _by_ideal_value("I*M", I, M, lambda: _ideal_times(I, M, None))
 
 
 def annihilator_submodule(M, a):
-    """M[a] = {v in M | a v = 0}, computed once per (M, value of a) and
-    kept on M."""
-    return _by_ideal_value(M._annihilated_memo, a, M, lambda: _annihilator_submodule(M, a))
+    """M[a] = {v in M | a v = 0}, computed once per (value of M, value of
+    a) in a suite and kept on M and the modules equal to it."""
+    return _by_ideal_value("M[I]", a, M, lambda: _annihilator_submodule(M, a))
 
 
 def _annihilator_submodule(M, a):

@@ -462,7 +462,11 @@ SUITES = {name: (fn, default) for name, fn, default in SUITE_ORDER}
 
 
 def run_suite(fx, suite, trials=None, seed=None):
-    """Run one named suite (or "all") and return its Report."""
+    """Run one named suite (or "all") and return its Report.
+
+    The memos that equal modules share (see modules._by_ideal_value) are
+    emptied after each suite, also when it raises.
+    """
     if trials is not None and trials < 0:
         raise MatlisLabError("trials must be non-negative, got %d" % trials)
     if suite != "all" and suite not in SUITES:
@@ -477,5 +481,10 @@ def run_suite(fx, suite, trials=None, seed=None):
         if name not in names:
             continue
         rng = Lcg((seed << 8) + idx)
-        records.extend(fn(fx, trials if trials is not None else default, rng))
+        try:
+            records.extend(fn(fx, trials if trials is not None else default, rng))
+        finally:
+            # the memos of equal modules live for one suite: kept longer
+            # they would grow with every module the algebra ever saw
+            fx.algebra._module_memo.clear()
     return Report(suite, fx.name, records)
