@@ -27,6 +27,13 @@ I = R^n / Syz.
 
 A k-basis of Syz gives both systems: n.dim(M) unknowns, against
 dim(I).dim(M) for a Hom system.
+
+Membership needs neither system when Ann(I).M != 0: Ann(I) kills every
+module in P and in S, so is_p_member and is_s_member return False from
+that bound alone.  The suites that test membership, lemma11 and the
+satz22 equivalence among them, therefore exercise gamma and kappa only
+where Ann(I).M = 0; satz31, folg32, satz35 and folg36 still call them
+directly.
 """
 
 from . import linalg
@@ -193,10 +200,28 @@ def _kappa(ctx, M, shortcut):
 
 
 def is_p_member(ctx, M):
+    """Is M in P, i.e. is the trace of I in M all of M?
+
+    Ann(I) kills I and so every quotient of a sum of copies of I: M in P
+    forces M[Ann(I)] = M.  So M[Ann(I)] != M decides False at once, and
+    exactly; otherwise the trace decides.  M[Ann(I)] is the upper bound
+    that gamma's shortcut computes anyway, memoized by value.
+    """
+    if annihilator_submodule(M, ctx.ann_i).dim != M.dim:
+        return False
     return gamma(ctx, M).dim == M.dim
 
 
 def is_s_member(ctx, M):
+    """Is M in S, i.e. is the reject of I° in M zero?
+
+    Ann(I) kills I, hence I° and every submodule of a product of copies
+    of I°: M in S forces Ann(I)*M = 0.  So Ann(I)*M != 0 decides False
+    at once, and exactly; otherwise the reject decides.  Ann(I)*M is the
+    lower bound that kappa's shortcut computes anyway, memoized by value.
+    """
+    if ideal_times_module(ctx.ann_i, M).dim != 0:
+        return False
     return kappa(ctx, M).dim == 0
 
 

@@ -40,8 +40,9 @@ and zero for a coboundary h (a split B), so if some class of
 Ext^1(I, I) gives Ann(I)*B != 0, a basis representative does, and that
 B lies outside P.  Its Matlis dual 0 -> I° -> B° -> I° -> 0, with the
 transposed maps, has the same annihilator, so B° lies outside S.
-satz25_search builds both from the first such representative and still
-certifies each verdict with the exact membership test.
+satz25_search builds both from the first such representative; the
+membership tests then decide each verdict from that same bound,
+Ann(I)*B != 0, without computing a trace or a reject.
 """
 
 from . import linalg
@@ -247,8 +248,9 @@ def satz25_search(ctx):
     Ann(I)*B != 0; else it holds (C, (B, iota, pi), outside) for P, with
     C = I and B from the first basis representative that does, then for
     S the Matlis dual: C = I°, B°, iota_S = pi° and pi_S = iota°, whose
-    matrices are the transposes.  outside is the exact membership
-    verdict that B is not in P, resp. B° not in S.  The choice is exact
+    matrices are the transposes.  outside is the membership verdict
+    that B is not in P, resp. B° not in S, which the Ann(I) bound of
+    is_p_member and is_s_member decides.  The choice is exact
     (module docstring); the name is kept because the benchmark traces
     this function under it.
     """

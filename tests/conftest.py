@@ -39,6 +39,11 @@ EXTRA_DOCS = [
 
 
 def load(name):
+    """A freshly parsed fixture, shipped or from EXTRA_DOCS, so that
+    nothing is memoized on its algebra."""
+    if name not in FIXTURE_NAMES:
+        doc = next(d for d in EXTRA_DOCS if d["name"] == name)
+        return fixture_from_dict(doc, name=name)
     return parse_fixture(str(FIXTURE_DIR / (name + ".json")))
 
 

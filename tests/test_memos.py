@@ -25,7 +25,6 @@ from matlislab.algebra import ideal_from_generators, minimal_generators, unit_id
 from matlislab.classes import ClassContext, class_context
 from matlislab.duality import injective_cogenerator
 from matlislab.errors import ParentMismatch
-from matlislab.fixtures import fixture_from_dict
 from matlislab.modules import (
     FModule,
     annihilator_submodule,
@@ -35,16 +34,9 @@ from matlislab.modules import (
 from matlislab.randmod import Lcg, random_ideal, random_module
 from matlislab.suites import run_suite
 
-from conftest import EXTRA_DOCS, FIXTURE_NAMES, load
+from conftest import FIXTURE_NAMES, load
 
 CASES = FIXTURE_NAMES + ["dim10-Q", "dim10-F101", "QXY-sums"]
-
-
-def _fresh(name):
-    if name in FIXTURE_NAMES:
-        return load(name)
-    doc = next(d for d in EXTRA_DOCS if d["name"] == name)
-    return fixture_from_dict(doc, name=name)
 
 
 def typed(x):
@@ -95,7 +87,7 @@ def _pair(U):
 
 @pytest.mark.parametrize("name", CASES)
 def test_minimal_generators_memo(name):
-    A = _fresh(name).algebra
+    A = load(name).algebra
     for I in _ideals(A):
         gens = minimal_generators(I)
         assert typed(gens) == typed(uncached_minimal_generators(I)), I
@@ -104,7 +96,7 @@ def test_minimal_generators_memo(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_class_context_memo(name):
-    A = _fresh(name).algebra
+    A = load(name).algebra
     for I in _ideals(A):
         ctx = class_context(A, I)
         assert ctx.I == I
@@ -116,7 +108,7 @@ def test_class_context_memo(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_module_memos(name):
-    A = _fresh(name).algebra
+    A = load(name).algebra
     for M in _modules(A):
         for I in _ideals(A):
             for memoized, uncached in (
@@ -139,7 +131,7 @@ TRACE_CASES = FIXTURE_NAMES + ["QXY-sums"]
 def test_trace_and_reject_memos(name):
     """Both routes of gamma and kappa, each memoized on its own, agree
     with the uncached Hom routes."""
-    A = _fresh(name).algebra
+    A = load(name).algebra
     for M in _modules(A):
         for I in _ideals(A):
             ctx = class_context(A, I)
@@ -169,7 +161,7 @@ def _fill_memos(ctx, M):
 def test_equal_modules_share_their_memos(monkeypatch, name):
     """A module equal to one already met, but a distinct object, finds
     I*M, M[I] and both routes of gamma and kappa computed."""
-    A = _fresh(name).algebra
+    A = load(name).algebra
     modules = _modules(A)
     contexts = [class_context(A, I) for I in _ideals(A)]
     filled = {(i, j): _fill_memos(ctx, M)

@@ -18,15 +18,22 @@ from reference import (
     upper_star,
     zero_ideal,
 )
-from matlislab import linalg
+from matlislab import classes, linalg
 from matlislab.algebra import (
     ideal_from_generators,
     minimal_generators,
     unit_ideal,
 )
-from matlislab.classes import ClassContext, epi_onto_r_mod_ann_exists, gamma, kappa
-from matlislab.duality import matlis_dual
-from matlislab.modules import direct_power, quotient_module, regular_module
+from matlislab.classes import (
+    ClassContext,
+    epi_onto_r_mod_ann_exists,
+    gamma,
+    is_p_member,
+    is_s_member,
+    kappa,
+)
+from matlislab.duality import injective_cogenerator, matlis_dual
+from matlislab.modules import direct_power, ideal_times_module, quotient_module, regular_module
 from matlislab.randmod import Lcg, random_ideal, random_module, random_submodule
 
 FIXTURES_BY_NAME = {name: load(name) for name in FIXTURE_NAMES}
@@ -145,3 +152,63 @@ def test_routes_agree_on_drawn_ideals_and_modules(case):
     assert lower_star(ctx, M, W, e) == gamma(ctx, M)
     if which == "F/B":
         assert image_in_quotient(upper_star(ctx, F, B), proj) == kappa(ctx, Q)
+
+
+BOUND_CASES = FIXTURE_NAMES + ["dim10-Q", "dim10-F101", "QXY-half", "QXY-sums"]
+
+
+def _bound_modules(ctx, rng, draws):
+    """Drawn modules and their duals, I and I°, R, R^2, E and E^2."""
+    A = ctx.algebra
+    mods = [random_module(A, rng) for _ in range(draws)]
+    mods += [matlis_dual(M) for M in mods]
+    mods += [ctx.I_mod, matlis_dual(ctx.I_mod)]
+    for base in (regular_module(A), injective_cogenerator(A)):
+        mods += [direct_power(base, j)[0] for j in (1, 2)]
+    return mods
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_membership_exits_are_exact(name):
+    """is_p_member and is_s_member, which return False from the Ann(I)
+    bound before computing the trace or the reject, agree with the full
+    routes, for the fixture's ideal, 0, R and drawn ideals.  Both the
+    modules that the bound decides and the others occur."""
+    fx = load(name)
+    rng = Lcg(73)
+    decided = set()
+    for ctx in _contexts(fx, rng, 2):
+        for M in _bound_modules(ctx, rng, 2):
+            assert is_p_member(ctx, M) == (gamma(ctx, M, shortcut=False).dim == M.dim)
+            assert is_s_member(ctx, M) == (kappa(ctx, M, shortcut=False).dim == 0)
+            decided.add(ideal_times_module(ctx.ann_i, M).dim != 0)
+    assert decided == {True, False}
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_bound_exit_skips_the_trace_and_the_reject(monkeypatch, name):
+    """A module with Ann(I)*M != 0 is in neither class without computing
+    gamma or kappa; any other module still reaches them.  On a fresh
+    parse, so that no memo answers in their place."""
+    fx = load(name)
+
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(classes, "_gamma", reached)
+    monkeypatch.setattr(classes, "_kappa", reached)
+    rng = Lcg(79)
+    for ctx in _contexts(fx, rng, 2):
+        for M in _bound_modules(ctx, rng, 2):
+            if ideal_times_module(ctx.ann_i, M).dim:
+                assert not is_p_member(ctx, M)
+                assert not is_s_member(ctx, M)
+            else:
+                with pytest.raises(_Reached):
+                    is_p_member(ctx, M)
+                with pytest.raises(_Reached):
+                    is_s_member(ctx, M)
