@@ -100,16 +100,13 @@ class Algebra:
             tuple(range(1, self.dim)),
         )
         self._monomial_nf = {}
-        # data derived from an ideal, keyed by its basis_matrix: equal
-        # ideals have equal canonical bases, so they share one entry
+        # data derived from an ideal, keyed by the Ideal: equal ideals
+        # have equal canonical bases, so they share one entry
         self._generators_memo = {}
         self._context_memo = {}  # filled by classes.class_context
-        # one memo per distinct module, keyed by its actions: filled by
-        # modules._by_ideal_value, emptied by suites.run_suite
+        # per distinct module its memo (modules._by_ideal_value), and each
+        # drawn module itself (randmod); emptied by suites.run_suite
         self._module_memo = {}
-
-    def one(self):
-        return _unit_vector(self.dim, 0, self.field)
 
     def multiply(self, u, v):
         if len(u) != self.dim or len(v) != self.dim:
@@ -141,33 +138,22 @@ class Algebra:
         return not any(w)
 
     def element_from_terms(self, terms):
-        """Build an element from (coeff, exponent-tuple) terms."""
+        """Build an element from (coeff, exponent-tuple) terms.
+
+        The normal forms are kept for every monomial up to the certified
+        bound N; one of higher degree is a multiple of a degree-N
+        monomial, so it is zero, however large its exponents.
+        """
         f = self.field
         out = [f.zero] * self.dim
         for coeff, exps in terms:
-            nf = self._monomial_nf.get(tuple(exps))
-            if nf is None:
-                nf = self._reduce_monomial(tuple(exps))
-            for r in range(self.dim):
-                if nf[r]:
-                    out[r] = f.add(out[r], f.mul(coeff, nf[r]))
+            if len(exps) != len(self.variables):
+                raise DimensionMismatch("exponent tuple %r" % (exps,))
+            nf = self._monomial_nf.get(tuple(exps), ())
+            for r, x in enumerate(nf):
+                if x:
+                    out[r] = f.add(out[r], f.mul(coeff, x))
         return tuple(out)
-
-    def _reduce_monomial(self, exps):
-        """Normal form of an arbitrary monomial, via repeated variable action.
-
-        Stops at the first zero product, so the work is bounded by the
-        nilpotency of the algebra and not by the size of the exponents.
-        """
-        if len(exps) != len(self.variables):
-            raise DimensionMismatch("exponent tuple %r" % (exps,))
-        w = self.one()
-        for vi, e in enumerate(exps):
-            for _ in range(e):
-                w = self.multiply(self.var_elements[vi], w)
-                if not any(w):
-                    return w
-        return w
 
     def __eq__(self, other):
         return self is other
@@ -371,13 +357,15 @@ class Ideal:
     Immutable after construction.  Its canonical basis_matrix determines
     it, so data derived from it is memoized by value, not on the object:
     on the parent algebra (minimal generators, class contexts) and on the
-    modules it acts on (I*M and M[I]), each keyed by basis_matrix.
+    modules it acts on (I*M and M[I]), each keyed by the Ideal, whose
+    hash of that value is computed on first use and kept.
     """
 
     def __init__(self, parent, basis_matrix, pivots):
         self.parent = parent
         self.basis_matrix = tuple(tuple(r) for r in basis_matrix)
         self.pivots = tuple(pivots)
+        self._hash = None
 
     @property
     def dim(self):
@@ -402,7 +390,9 @@ class Ideal:
         )
 
     def __hash__(self):
-        return hash((id(self.parent), self.basis_matrix))
+        if self._hash is None:
+            self._hash = hash((id(self.parent), self.basis_matrix))
+        return self._hash
 
     def __repr__(self):
         return "Ideal(dim=%d of %r)" % (self.dim, self.parent)
@@ -466,13 +456,13 @@ def minimal_generators(I):
     """A minimal generating set: basis rows independent modulo m*I.
 
     Computed once per distinct ideal: kept in a dict on the parent
-    algebra keyed by basis_matrix, so an equal Ideal object gets the
+    algebra keyed by the ideal's value, so an equal Ideal object gets the
     same tuple.
     """
     memo = I.parent._generators_memo
-    gens = memo.get(I.basis_matrix)
+    gens = memo.get(I)
     if gens is None:
-        gens = memo[I.basis_matrix] = _minimal_generators(I)
+        gens = memo[I] = _minimal_generators(I)
     return gens
 
 

@@ -70,16 +70,16 @@ def class_context(algebra, ideal):
     """The ClassContext of ``ideal``, built once per distinct ideal.
 
     Contexts are kept in a dict on the algebra keyed by the ideal's
-    basis_matrix, for the algebra's lifetime: every context depends only
+    value, for the algebra's lifetime: every context depends only
     on the value of I, and its certificates are deterministic, so
     building it again for an equal ideal would prove nothing new.
     Raises ParentMismatch for an ideal of another algebra.
     """
     _require_ideal_of(algebra, ideal)
     memo = algebra._context_memo
-    ctx = memo.get(ideal.basis_matrix)
+    ctx = memo.get(ideal)
     if ctx is None:
-        ctx = memo[ideal.basis_matrix] = ClassContext(algebra, ideal)
+        ctx = memo[ideal] = ClassContext(algebra, ideal)
     return ctx
 
 

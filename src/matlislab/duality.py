@@ -28,12 +28,12 @@ def evaluation_map(M):
 
     In dual-basis coordinates the double dual carries the original
     actions back, so the matrix is the identity; at finite length this
-    map is an isomorphism, which the constructor verifies.
+    map is an isomorphism, which the constructor and one rank verify.
     """
     dd = matlis_dual(matlis_dual(M))
     mat = linalg.identity(M.dim, M.parent.field)
     ev = ModuleMap(M, dd, mat, check=True)
-    if not (ev.is_injective() and ev.is_surjective()):
+    if not ev.is_injective():
         raise NotASubmodule("evaluation map is not an isomorphism")
     return ev
 

@@ -30,7 +30,7 @@ class FModule:
     Immutable after construction, so data derived from it is kept on it:
     the generator actions, and in ``_memo`` the submodules I*M, M[I], the
     trace and the reject (see _by_ideal_value).  Equal modules of one
-    algebra share that memo, for one suite.
+    algebra share that memo, and drawn ones are one object, for one suite.
     """
 
     def __init__(self, parent, actions):
@@ -225,7 +225,7 @@ def _by_ideal_value(route, I, M, compute):
     """The submodule compute(), computed once per (value of I, value of M,
     route) in a suite.
 
-    M's memo is a dict keyed by (I's basis_matrix, route), so equal ideals
+    M's memo is a dict keyed by (I, route); equal ideals, equal as keys,
     share one entry.  Equal modules share the memo too: on first use it is
     taken from the algebra's _module_memo, keyed by the actions, and
     suites.run_suite empties that after each suite.  Taking it on first
@@ -238,12 +238,15 @@ def _by_ideal_value(route, I, M, compute):
     memo = M._memo
     if memo is None:
         memo = M._memo = M.parent._module_memo.setdefault(M.actions, {})
-    key = (I.basis_matrix, route)
+    key = (I, route)
     pair = memo.get(key)
     if pair is None:
         U = compute()
-        pair = memo[key] = (U.basis_matrix, U.pivots)
-    return Submodule(M, *pair)
+        memo[key] = (U.basis_matrix, U.pivots)
+        return U
+    U = Submodule.__new__(Submodule)  # the kept pair is tuples: no copy
+    U.ambient, (U.basis_matrix, U.pivots) = M, pair
+    return U
 
 
 def _ideal_times(I, M, basis):
@@ -519,6 +522,11 @@ def cokernel_of_presentation(A, rank, columns):
 
     Raises DimensionMismatch for a column whose length is not rank*d.
     """
+    return _cokernel_of_echelon(A, rank, *_relation_echelon(A, rank, columns))
+
+
+def _relation_echelon(A, rank, columns):
+    """The echelon pair of R*(columns) in R^rank: it fixes the cokernel."""
     f = A.field
     d = A.dim
     n = rank * d
@@ -536,8 +544,13 @@ def cokernel_of_presentation(A, rank, columns):
             for p in prods:
                 row.extend(p[lo:lo + d])
             rows.append(row)
-    red, pivots = linalg.rref(rows, f)
-    free, proj = _projection(red, pivots, n, f)
+    return linalg.rref(rows, f)
+
+
+def _cokernel_of_echelon(A, rank, red, pivots):
+    f = A.field
+    d = A.dim
+    free, proj = _projection(red, pivots, rank * d, f)
     proj_cols = linalg.transpose(proj)
     zero = (f.zero,) * len(free)
     actions = []

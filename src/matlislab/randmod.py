@@ -5,13 +5,14 @@ MMIX constants (multiplier 6364136223846793005, increment
 1442695040888963407, modulus 2^64), so identical seeds reproduce
 identical fixtures across runs and implementations.  Values are drawn
 from the high 32 bits.
+
+A drawn module is one object per value, with its memos: random_module
+keeps it in the algebra's _module_memo until suites.run_suite ends the
+suite, or for the algebra's lifetime outside a suite.
 """
 
 from .algebra import ideal_from_generators
-from .modules import (
-    cokernel_of_presentation,
-    generated_submodule,
-)
+from .modules import _cokernel_of_echelon, _relation_echelon, generated_submodule
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -23,71 +24,60 @@ class Lcg:
         self.state = (seed ^ 0x9E3779B97F4A7C15) & _MASK
         # warm up so small seeds diverge immediately
         for _ in range(3):
-            self._step()
-
-    def _step(self):
-        self.state = (self.state * _MULT + _INC) & _MASK
-        return self.state >> 32
+            self.randint(1)
 
     def randint(self, n):
         """Uniform-ish integer in range(n)."""
         if n <= 0:
             raise ValueError("randint needs n >= 1")
-        return self._step() % n
+        self.state = (self.state * _MULT + _INC) & _MASK
+        return (self.state >> 32) % n
 
 
-def random_scalar(field, rng, spread=2):
-    """A small scalar: integers in [-spread, spread] over Q, residues over F_p."""
+def _vectors(field, rng, count, length, spread=2):
+    """count lists of length small scalars, drawn as that many calls of
+    rng.randint would draw them, in one loop that steps the generator
+    state locally: integers in [-spread, spread] over Q, residues over F_p."""
     p = getattr(field, "p", None)
-    if p is not None:
-        return rng.randint(p)
-    return field.of(rng.randint(2 * spread + 1) - spread)
-
-
-def random_element(A, rng, spread=2):
-    return tuple(random_scalar(A.field, rng, spread) for _ in range(A.dim))
-
-
-def random_nonunit_element(A, rng, spread=2):
-    """A random element of the maximal ideal."""
-    v = list(random_element(A, rng, spread))
-    v[0] = A.field.zero
-    return tuple(v)
+    n, shift = (p, 0) if p is not None else (2 * spread + 1, spread)
+    state = rng.state
+    flat = []
+    for _ in range(count * length):
+        state = (state * _MULT + _INC) & _MASK
+        flat.append((state >> 32) % n - shift)
+    rng.state = state
+    return [flat[i * length:(i + 1) * length] for i in range(count)]
 
 
 def random_ideal(A, rng, max_gens=2, allow_unit=False):
-    ngens = 1 + rng.randint(max_gens)
-    if allow_unit:
-        gens = [random_element(A, rng) for _ in range(ngens)]
-    else:
-        gens = [random_nonunit_element(A, rng) for _ in range(ngens)]
+    gens = _vectors(A.field, rng, 1 + rng.randint(max_gens), A.dim)
+    if not allow_unit:
+        for g in gens:
+            g[0] = A.field.zero
     return ideal_from_generators(A, gens)
 
 
 def random_module(A, rng, max_rank=2):
     """A random finite-length module: cokernel of a random presentation.
 
-    R^t / (columns), t <= max_rank, with random relation columns; the
-    dimension is bounded by t * dim(A).  The module is read off the
-    multiplication table, as b_k * e_(s,m) = e_s (x) b_k*b_m (see
-    :func:`cokernel_of_presentation`), so no free module is built.
+    R^t / (columns), t <= max_rank, with random relation columns, each
+    slot a non-unit; the dimension is bounded by t * dim(A).  The module
+    is read off the multiplication table (see cokernel_of_presentation),
+    once per echelon form of the relations in a suite.
     """
     t = 1 + rng.randint(max_rank)
-    nrels = rng.randint(2 * t + 1)
-    cols = []
-    for _ in range(nrels):
-        col = []
-        for _ in range(t):
-            col.extend(random_nonunit_element(A, rng))
-        cols.append(tuple(col))
-    return cokernel_of_presentation(A, t, cols)
+    cols = _vectors(A.field, rng, rng.randint(2 * t + 1), t * A.dim)
+    for c in cols:
+        c[::A.dim] = [A.field.zero] * t
+    red, pivots = _relation_echelon(A, t, cols)
+    key = ("cokernel", t, red)  # an actions key never starts with a str
+    M = A._module_memo.get(key)
+    if M is None:
+        M = A._module_memo[key] = _cokernel_of_echelon(A, t, red, pivots)
+    return M
 
 
 def random_submodule(M, rng, max_gens=2):
     """A random submodule: closure of a few random vectors."""
     ngens = 1 + rng.randint(max_gens)
-    vecs = [
-        tuple(random_scalar(M.parent.field, rng) for _ in range(M.dim))
-        for _ in range(ngens)
-    ]
-    return generated_submodule(M, vecs)
+    return generated_submodule(M, _vectors(M.parent.field, rng, ngens, M.dim))

@@ -11,6 +11,9 @@
 - The cokernel R^t/(columns) by the free module: the block-diagonal
   R^t, the submodule its columns generate, and the quotient by it.  The
   library reads the cokernel off the multiplication table.
+- The seeded draws one scalar at a time: one Lcg.randint call per
+  scalar, and field.of of it over Q.  The library draws a whole vector
+  in one loop that steps the generator state locally.
 - Ext^1(C, A) by the full Hom(F, A) system of the cover F = R^t,
   restricted to a K rebuilt from the syzygy.  The library reads
   Hom(R^t, A) as A^t and keeps K on the cover.
@@ -81,6 +84,46 @@ def cokernel_by_free_module(A, rank, columns):
     else:
         sub = free.zero_submodule()
     return quotient_module(free, sub)[0]
+
+
+def per_scalar_draws(field, rng, count, spread=2):
+    """count scalars, one rng.randint call each: residues over F_p,
+    integers in [-spread, spread] over Q."""
+    p = getattr(field, "p", None)
+    if p is not None:
+        return tuple(rng.randint(p) for _ in range(count))
+    return tuple(field.of(rng.randint(2 * spread + 1) - spread) for _ in range(count))
+
+
+def per_scalar_element(A, rng, spread=2, unit=True):
+    """A random element, of the maximal ideal unless ``unit``."""
+    v = per_scalar_draws(A.field, rng, A.dim, spread)
+    return v if unit else (A.field.zero,) + v[1:]
+
+
+def per_scalar_ideal_generators(A, rng, max_gens=2, allow_unit=False):
+    """The generators that randmod.random_ideal draws."""
+    ngens = 1 + rng.randint(max_gens)
+    return [per_scalar_element(A, rng, unit=allow_unit) for _ in range(ngens)]
+
+
+def per_scalar_presentation(A, rng, max_rank=2):
+    """(t, columns), the presentation that randmod.random_module draws."""
+    t = 1 + rng.randint(max_rank)
+    nrels = rng.randint(2 * t + 1)
+    cols = []
+    for _ in range(nrels):
+        col = []
+        for _ in range(t):
+            col.extend(per_scalar_element(A, rng, unit=False))
+        cols.append(tuple(col))
+    return t, cols
+
+
+def per_scalar_submodule_vectors(M, rng, max_gens=2):
+    """The vectors whose closure randmod.random_submodule takes."""
+    ngens = 1 + rng.randint(max_gens)
+    return [per_scalar_draws(M.parent.field, rng, M.dim) for _ in range(ngens)]
 
 
 class Ext1ByHomOfFree:

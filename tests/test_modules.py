@@ -9,6 +9,7 @@ from reference import (
     image,
     is_essential,
     is_small,
+    per_scalar_element,
     rescaled,
 )
 from matlislab import linalg
@@ -17,7 +18,6 @@ from matlislab.duality import matlis_dual
 from matlislab.errors import DimensionMismatch, NotEquivariant, NotUniserial
 from matlislab.randmod import (
     Lcg,
-    random_element,
     random_ideal,
     random_module,
     random_submodule,
@@ -311,7 +311,7 @@ def _presentations(A, rng, draws):
     f = A.field
     cases = []
     for t in range(3):
-        unit = tuple(A.one()) + (f.zero,) * (A.dim * (t - 1)) if t else ()
+        unit = (f.one,) + (f.zero,) * (A.dim * t - 1) if t else ()
         cases += [(t, []), (t, [unit])]
     for _ in range(draws):
         t = 1 + rng.randint(2)
@@ -320,7 +320,7 @@ def _presentations(A, rng, draws):
         for _ in range(rng.randint(2 * t + 1)):
             col = []
             for _ in range(t):
-                col.extend(f.mul(scale, x) for x in random_element(A, rng))
+                col.extend(f.mul(scale, x) for x in per_scalar_element(A, rng))
             cols.append(tuple(col))
         cases.append((t, cols))
     return cases
