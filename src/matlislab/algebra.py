@@ -75,7 +75,9 @@ class Presentation:
 class Algebra:
     """An Artinian local k-algebra on a canonical monomial basis.
 
-    Built by :func:`build_algebra`; immutable afterwards.
+    Built by :func:`build_algebra`; immutable afterwards.  It keeps the
+    left multiplications, their linalg.stacked_columns ``left_cols`` (for
+    spans R*g), the maximal ideal, and memos of data derived from ideals.
     """
 
     def __init__(self, field, variables, bound, basis, mult_table, var_elements):
@@ -94,6 +96,7 @@ class Algebra:
             )
             for i in range(self.dim)
         )
+        self.left_cols = linalg.stacked_columns(self.left_mult)
         self.max_ideal = Ideal(
             self,
             tuple(_unit_vector(self.dim, i, field) for i in range(1, self.dim)),
@@ -415,15 +418,11 @@ def ideal_from_generators(A, gens):
     """Smallest ideal containing the given elements, canonical basis.
 
     The span of {b_i * g} over all basis elements b_i already equals the
-    ideal R*gens, so one multiplication pass suffices.
+    ideal R*gens, so one linalg.span of the stacked left multiplications
+    suffices.  Raises DimensionMismatch for a generator whose length is
+    not dim(R).
     """
-    rows = []
-    for g in gens:
-        if len(g) != A.dim:
-            raise DimensionMismatch("generator of length %d" % len(g))
-        for i in range(A.dim):
-            rows.append(linalg.mat_vec(A.left_mult[i], g, A.field))
-    return _ideal_from_rows(A, rows)
+    return Ideal(A, *linalg.span(A.left_cols, gens, A.field))
 
 
 def ideal_product(I, J):
@@ -443,12 +442,11 @@ def annihilator_of_ideal(I):
     if I.dim == 0:
         return unit_ideal(A)
     rows = []
-    # unknown r: for each generator g, the equation r * g = 0,
-    # one row per coordinate of the product
+    # unknown r: for each basis vector g, the equation r * g = 0, one row
+    # per coordinate l; entry i*dim + l of the products is that of b_i * g
     for g in I.basis_matrix:
-        cols = [linalg.mat_vec(A.left_mult[i], g, f) for i in range(A.dim)]
-        for r_idx in range(A.dim):
-            rows.append(tuple(cols[i][r_idx] for i in range(A.dim)))
+        prods = linalg.products(A.left_cols, g)
+        rows.extend(prods[l::A.dim] for l in range(A.dim))
     return Ideal(A, *linalg.kernel(rows, f))
 
 

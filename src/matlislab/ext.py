@@ -152,14 +152,11 @@ def free_cover(M):
     f = A.field
     units = linalg.identity(M.dim, f)
     keep = linalg.extend_basis(radical(M).basis_matrix, units, f)
-    lifts = [units[j] for j in keep]
-    free, _ = direct_power(regular_module(A), len(lifts))
-    cols = []
-    for v in lifts:
-        for j in range(A.dim):
-            cols.append(linalg.mat_vec(M.actions[j], v, f))
-    matrix = linalg.transpose(tuple(cols)) if cols else tuple(() for _ in range(M.dim))
-    cov = FreeCover(M, len(lifts), ModuleMap(free, M, matrix, check=False))
+    free, _ = direct_power(regular_module(A), len(keep))
+    # e_(s,j) = e_s (x) b_j maps to b_j applied to the unit vector lift
+    # e_i, i = keep[s]: column i of the action of b_j
+    matrix = tuple(tuple(a[r][i] for i in keep for a in M.actions) for r in range(M.dim))
+    cov = FreeCover(M, len(keep), ModuleMap(free, M, matrix, check=False))
     if not radical(cov.free).contains_submodule(cov.syzygy):
         raise MatlisLabError("free cover is not minimal")
     return cov

@@ -2,19 +2,22 @@
 
 Matrices are tuples of row tuples; vectors are tuples.  Row reduction
 runs one of two kernels on plain ints: elimination mod p over F_p, and
-fraction-free Gauss-Jordan on denominator-cleared rows over Q.  Three
+fraction-free Gauss-Jordan on denominator-cleared rows over Q.  Four
 functions use them:
 
 - :func:`rref`, the reduced row echelon form of a row space;
 - :func:`nullspace`, one solution of ``rows . v = 0`` per free column;
 - :func:`kernel`, the reduced row echelon form of that solution space.
   It equals ``rref(nullspace(rows))`` but needs one elimination, of the
-  rows with their columns reversed, instead of two.
+  rows with their columns reversed, instead of two;
+- :func:`span`, the reduced row echelon form of the span of all
+  products a_k . v of given vectors v, read off the
+  :func:`stacked_columns` of the matrices a_k in one integer pass.
 
 Over Q the last two read their vectors off the integer echelon form and
 divide each nonzero entry by its pivot once, with :func:`_div`.  The
-products :func:`mat_mul` and :func:`mat_vec` also sum plain ints,
-reduced mod p once per entry over F_p and divided by the cleared
+product :func:`mat_mul`, and :func:`mat_vec` through it, also sums plain
+ints, reduced mod p once per entry over F_p and divided by the cleared
 denominators once per entry over Q.  Every Q result keeps the scalar
 contract of :mod:`matlislab.fields`: an int when integral, else a
 Fraction.
@@ -24,6 +27,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
+from .errors import DimensionMismatch
 from .fields import PrimeField
 
 
@@ -37,9 +41,16 @@ def rref(rows, field):
     if not rows or not rows[0]:
         return (), ()
     if isinstance(field, PrimeField):
-        out, pivots = _rref_fp(rows, field.p)
+        return _echelon(rows, field.p)
+    return _echelon([_int_row(r)[0] for r in rows], 0)
+
+
+def _echelon(rows, p):
+    """The rref pair of nonempty int rows, over F_p when p, else over Q."""
+    if p:
+        out, pivots = _rref_fp(rows, p)
         return tuple(tuple(r) for r in out), tuple(pivots)
-    out, pivots = _rref_int([_int_row(r)[0] for r in rows])
+    out, pivots = _rref_int(rows)
     frows = []
     for row, c in zip(out, pivots):
         piv = row[c]
@@ -190,6 +201,78 @@ def _rref_int(m):
             row = [v // g for v in row]
         out.append(row)
     return out, pivots
+
+
+def stacked_columns(matrices):
+    """The n x n matrices a_0 .. a_(d-1) stacked on top of each other, as
+    the pair (d, columns), denominators cleared by one positive scale.
+
+    Column j lists the (row, entry) pairs of its nonzero entries; row
+    k*n + l holds entry (l, j) of a_k.  So sum_j v_j * column j holds
+    every a_k . v at once.
+    """
+    flat, _ = _int_row([x for a in matrices for row in a for x in row])
+    n = len(matrices[0]) if matrices else 0
+    return len(matrices), tuple(
+        tuple((r, x) for r, x in enumerate(flat[j::n]) if x) for j in range(n)
+    )
+
+
+def span(stacked, vectors, field, rank=1):
+    """Reduced row echelon form of the span of all a_k . v over the
+    vectors v; returns (rows, pivots).
+
+    ``stacked`` is the :func:`stacked_columns` pair of a_0 .. a_(d-1),
+    n x n.  A vector of length rank*n is read as rank slots of length n,
+    as in R^rank: row k holds the products a_k . slot side by side.  One
+    integer combination of the columns per nonzero slot gives its d
+    products, and the rows go to the elimination kernel as they are:
+    their positive scales do not change the echelon form.  Raises
+    DimensionMismatch for a vector whose length is not rank*n.
+    """
+    d, cols = stacked
+    n = len(cols)
+    size = rank * n
+    zero = [0] * n
+    rows = []
+    for v in vectors:
+        if len(v) != size:
+            raise DimensionMismatch("vector of length %d, need %d" % (len(v), size))
+        ints = _int_row(v)[0]
+        prods = [_combine(cols, ints[s * n:(s + 1) * n], d * n) for s in range(rank)]
+        if rank == 1:
+            if prods[0]:
+                rows.extend([prods[0][lo:lo + n] for lo in range(0, d * n, n)])
+        elif any(prods):
+            for lo in range(0, d * n, n):
+                row = []
+                for prod in prods:
+                    row.extend(prod[lo:lo + n] if prod else zero)
+                rows.append(row)
+    if not rows:
+        return (), ()
+    return _echelon(rows, field.p if isinstance(field, PrimeField) else 0)
+
+
+def products(stacked, v):
+    """Every a_k . v at once, scaled by a positive integer, from the
+    :func:`stacked_columns` of the a_k: entry k*n + l is coordinate l of
+    a_k . v.  None when v is zero."""
+    d, cols = stacked
+    return _combine(cols, _int_row(v)[0], d * len(cols))
+
+
+def _combine(cols, v, size):
+    """sum_j v[j] * cols[j], a list of ``size`` ints, over the nonzero
+    v[j]; None when v is zero."""
+    acc = None
+    for x, col in zip(v, cols):
+        if x:
+            if acc is None:
+                acc = [0] * size
+            for r, c in col:
+                acc[r] += x * c
+    return acc
 
 
 def extend_basis(rows, candidates, field):
@@ -362,53 +445,10 @@ def _mat_mul_q(a, b):
 
 
 def mat_vec(a, v, field):
-    # only the nonzero entries of v contribute; most vectors have one or two
-    terms = [(k, y) for k, y in enumerate(v) if y]
-    if isinstance(field, PrimeField):
-        return _mat_vec_fp(a, terms, field.p)
-    return _mat_vec_q(a, terms)
-
-
-def _mat_vec_fp(a, terms, p):
-    # an explicit loop: sum() over a generator costs more at 1-2 terms
-    out = []
-    for row in a:
-        s = 0
-        for k, y in terms:
-            s += row[k] * y
-        out.append(s % p)
-    return tuple(out)
-
-
-def _mat_vec_q(a, terms):
-    if len(terms) == 1:
-        # a column of a, scaled
-        k, y = terms[0]
-        col = [row[k] for row in a]
-        if y == 1:
-            # an integral Fraction entry is read as its int
-            return tuple([x if type(x) is int or x.denominator != 1 else x.numerator
-                          for x in col])
-        yn, yd = y.numerator, y.denominator
-        return tuple([_div(x.numerator * yn, x.denominator * yd) if x else 0 for x in col])
-    ys, dv = _int_row([y for _, y in terms])
-    terms = [(k, y) for (k, _), y in zip(terms, ys)]
-    out = []
-    for row in a:
-        # the running sum is num/den, over the denominators met so far
-        num = 0
-        den = 1
-        for k, y in terms:
-            x = row[k]
-            if x:
-                d = x.denominator
-                if d == den:
-                    num += x.numerator * y
-                else:
-                    num = num * d + x.numerator * y * den
-                    den *= d
-        out.append(_div(num, den * dv) if num else 0)
-    return tuple(out)
+    """a . v, the one column of the product of a and v as a column."""
+    if not v:
+        return (field.zero,) * len(a)
+    return tuple(row[0] for row in mat_mul(a, tuple((y,) for y in v), field))
 
 
 def mat_add(a, b, field):

@@ -12,7 +12,6 @@ action; equality of submodules is representation equality.
 from . import linalg
 from .algebra import Ideal, minimal_generators, unit_ideal
 from .errors import (
-    DimensionMismatch,
     NotASubmodule,
     NotEquivariant,
     NotUniserial,
@@ -28,7 +27,8 @@ class FModule:
     certified by algebra.actions_from_variables first.
 
     Immutable after construction, so data derived from it is kept on it:
-    the generator actions, and in ``_memo`` the submodules I*M, M[I], the
+    the generator actions, the stacked columns of the actions (see
+    generated_submodule), and in ``_memo`` the submodules I*M, M[I], the
     trace and the reject (see _by_ideal_value).  Equal modules of one
     algebra share that memo, and drawn ones are one object, for one suite.
     """
@@ -38,6 +38,7 @@ class FModule:
         self.actions = tuple(tuple(tuple(r) for r in a) for a in actions)
         self.dim = len(self.actions[0]) if self.actions and self.actions[0] else 0
         self._generator_actions = None
+        self._span_cols = None  # built on first use by generated_submodule
         self._memo = None  # taken on first use by _by_ideal_value
         if len(self.actions) != parent.dim:
             raise NotASubmodule("need one action matrix per algebra basis element")
@@ -185,13 +186,14 @@ def submodule_from_spanning(M, vectors):
 def generated_submodule(M, vectors):
     """Smallest submodule containing the given vectors.
 
-    One pass over all basis-element actions suffices, as for ideals.
+    The products a . v over all basis-element actions a already span
+    it, as for ideals: one linalg.span of the stacked columns of the
+    actions, built on M's first call and kept on M.  Raises
+    DimensionMismatch for a vector whose length is not dim(M).
     """
-    rows = []
-    for v in vectors:
-        for a in M.actions:
-            rows.append(linalg.mat_vec(a, v, M.parent.field))
-    return submodule_from_spanning(M, rows)
+    if M._span_cols is None:
+        M._span_cols = linalg.stacked_columns(M.actions)
+    return Submodule(M, *linalg.span(M._span_cols, vectors, M.parent.field))
 
 
 def regular_module(A):
@@ -261,7 +263,8 @@ def _ideal_times(I, M, basis):
             # g*M is spanned by the columns of g's action
             rows.extend(linalg.transpose(act))
         else:
-            rows.extend(linalg.mat_vec(act, v, f) for v in basis)
+            # the images g*v of the basis rows v are the rows of basis . act^T
+            rows.extend(linalg.mat_mul(basis, linalg.transpose(act), f))
     # the images g*U already span an action-closed space, since R is
     # commutative and U is a submodule: r*(g*u) = g*(r*u) with r*u in U
     return submodule_from_spanning(M, rows)
@@ -514,7 +517,8 @@ def cokernel_of_presentation(A, rank, columns):
     so b_k * e_(s,m) = e_s (x) b_k*b_m, whose coordinates T[k][m] sit in
     slot s:
 
-    - R*c is spanned by the b_k*c, computed slot by slot as b_k*c_s;
+    - R*c is spanned by the b_k*c, computed slot by slot as b_k*c_s by
+      one linalg.span of the algebra's stacked left multiplications;
     - column (s, m) of the action of b_k on the quotient is
       sum_l T[k][m][l] proj[:, s*d + l], a gather of projection columns.
       On a monomial algebra T[k][m] is 0 or one basis element, so each
@@ -522,32 +526,11 @@ def cokernel_of_presentation(A, rank, columns):
 
     Raises DimensionMismatch for a column whose length is not rank*d.
     """
-    return _cokernel_of_echelon(A, rank, *_relation_echelon(A, rank, columns))
-
-
-def _relation_echelon(A, rank, columns):
-    """The echelon pair of R*(columns) in R^rank: it fixes the cokernel."""
-    f = A.field
-    d = A.dim
-    n = rank * d
-    # entry k*d + l of stacked . c_s is coordinate l of b_k*c_s
-    stacked = linalg.stack(*A.left_mult)
-    rows = []
-    for c in columns:
-        if len(c) != n:
-            raise DimensionMismatch(
-                "presentation column of length %d, need %d" % (len(c), n)
-            )
-        prods = [linalg.mat_vec(stacked, c[s * d:(s + 1) * d], f) for s in range(rank)]
-        for lo in range(0, d * d, d):
-            row = []
-            for p in prods:
-                row.extend(p[lo:lo + d])
-            rows.append(row)
-    return linalg.rref(rows, f)
+    return _cokernel_of_echelon(A, rank, *linalg.span(A.left_cols, columns, A.field, rank))
 
 
 def _cokernel_of_echelon(A, rank, red, pivots):
+    """R^rank / U for U given by its echelon pair, which fixes it."""
     f = A.field
     d = A.dim
     free, proj = _projection(red, pivots, rank * d, f)

@@ -11,8 +11,9 @@ keeps it in the algebra's _module_memo until suites.run_suite ends the
 suite, or for the algebra's lifetime outside a suite.
 """
 
+from . import linalg
 from .algebra import ideal_from_generators
-from .modules import _cokernel_of_echelon, _relation_echelon, generated_submodule
+from .modules import _cokernel_of_echelon, generated_submodule
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -69,7 +70,7 @@ def random_module(A, rng, max_rank=2):
     cols = _vectors(A.field, rng, rng.randint(2 * t + 1), t * A.dim)
     for c in cols:
         c[::A.dim] = [A.field.zero] * t
-    red, pivots = _relation_echelon(A, t, cols)
+    red, pivots = linalg.span(A.left_cols, cols, A.field, t)
     key = ("cokernel", t, red)  # an actions key never starts with a str
     M = A._module_memo.get(key)
     if M is None:

@@ -8,9 +8,13 @@
 - The star operators, the paper's explicit formulas for the trace
   (through an embedding into an injective module) and the reject (of a
   quotient of a free module).
+- Spans by one mat_vec per action and vector, then one rref: the
+  ideal R*(gens), the submodule R*(vectors), and the equations r*g = 0
+  of an annihilator.  The library reads every product a . v off the
+  stacked integer columns of the actions in one pass (linalg.span).
 - The cokernel R^t/(columns) by the free module: the block-diagonal
-  R^t, the submodule its columns generate, and the quotient by it.  The
-  library reads the cokernel off the multiplication table.
+  R^t, the span of its columns by the route above, and the quotient by
+  it.  The library reads the cokernel off the multiplication table.
 - The seeded draws one scalar at a time: one Lcg.randint call per
   scalar, and field.of of it over Q.  The library draws a whole vector
   in one loop that steps the generator state locally.
@@ -58,7 +62,6 @@ from matlislab.modules import (
     Submodule,
     direct_power,
     direct_sum,
-    generated_submodule,
     hom_space,
     ideal_times_submodule,
     quotient_module,
@@ -75,14 +78,31 @@ class NotInjectiveAmbient(MatlisLabError):
     """The lower star was asked for in an ambient that is not injective."""
 
 
+def span_by_actions(actions, vectors, field):
+    """The echelon pair of the span of all a . v, one mat_vec per action
+    a and vector v, reduced by one rref."""
+    rows = [linalg.mat_vec(a, v, field) for v in vectors for a in actions]
+    return linalg.rref(rows, field) if rows else ((), ())
+
+
+def annihilator_by_actions(I):
+    """Ann(I) from the equations r * g = 0 for the basis vectors g of I:
+    column i of the block of g is b_i * g, one mat_vec per basis element."""
+    A = I.parent
+    f = A.field
+    if I.dim == 0:
+        return Ideal(A, linalg.identity(A.dim, f), range(A.dim))
+    rows = []
+    for g in I.basis_matrix:
+        rows.extend(zip(*[linalg.mat_vec(a, g, f) for a in A.left_mult]))
+    return Ideal(A, *linalg.kernel(rows, f))
+
+
 def cokernel_by_free_module(A, rank, columns):
     """R^rank / (columns) as the quotient of the block-diagonal free
-    module by the submodule its columns generate."""
+    module by the span of its columns."""
     free, _ = direct_power(regular_module(A), rank)
-    if columns:
-        sub = generated_submodule(free, [tuple(c) for c in columns])
-    else:
-        sub = free.zero_submodule()
+    sub = Submodule(free, *span_by_actions(free.actions, columns, A.field))
     return quotient_module(free, sub)[0]
 
 

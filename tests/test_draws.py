@@ -4,7 +4,8 @@ randmod draws each vector of scalars in one loop and keeps each drawn
 module once per value, in the algebra's _module_memo, until run_suite
 ends the suite.  These tests hold the draws to the per-scalar route of
 tests/reference.py bit for bit, the interned modules to an uncached
-cokernel, and the two verify-dim10 digests to their pinned values.
+cokernel, the drawn values of each shipped fixture and the two
+verify-dim10 digests to their pinned values.
 """
 
 import hashlib
@@ -133,6 +134,34 @@ def test_repeated_value_within_a_suite_is_one_object(monkeypatch):
     assert fx.algebra._module_memo == {}
     rng = Lcg((fx.seed << 8) + 0)
     assert random_module(fx.algebra, rng) is not drawn[0]
+
+
+# sha256 prefixes of the reprs (scalar types included) of the actions of
+# the first 50 random_module draws at the fixture's seed, of the echelon
+# bases of one random_submodule of each, and of the next 50 random_ideal
+# draws: the report digests cannot see which values are drawn
+DRAW_PINS = {
+    "R3": ("e6cce0f458510008", "22152afd230a6aa0", "990acad90580230e"),
+    "R4": ("e6f45fdad2cc552f", "b5bc225473349502", "d5151a4a3ae94a83"),
+    "KXY": ("e168d27d8590b313", "a30c6a80f6fa5741", "2d378e71b8846749"),
+    "V2": ("150f864f79f58c1e", "143dc23e9cc97818", "44fd9117462979a2"),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_drawn_values_are_pinned(name):
+    fx = load(name)
+    A = fx.algebra
+    rng = Lcg(fx.seed)
+    modules = [random_module(A, rng) for _ in range(50)]
+    subs = [random_submodule(M, rng) for M in modules]
+    ideals = [random_ideal(A, rng) for _ in range(50)]
+    got = tuple(
+        hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+        for values in ([M.actions for M in modules], [U.basis_matrix for U in subs],
+                       [I.basis_matrix for I in ideals])
+    )
+    assert got == DRAW_PINS[name]
 
 
 # verify-dim10: Q[x,y,z]/(x,y,z)^3, I = (x, y), and its F_101 twin at
