@@ -1,14 +1,15 @@
 import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 
-from matlislab import classes, cli, ext, suites
+from matlislab import classes, cli, duality, ext, modules, suites
 from matlislab.algebra import ideal_from_generators
 from matlislab.errors import MatlisLabError
 from matlislab.fixtures import Fixture, format_ideal, fixture_from_dict
-from matlislab.modules import annihilator_submodule, ideal_times_module
+from matlislab.modules import FModule, annihilator_submodule, ideal_times_module, radical
 from matlislab.report import CheckRecord, Report, check
 from matlislab.suites import SUITES, run_suite
 
@@ -207,47 +208,74 @@ def test_unknown_suite_rejected(r3):
 
 ALL = tuple(FIXTURE_NAMES)
 
-# each fault replaces a functor by one of its bounds, I*M <= gamma(M) <=
-# M[Ann I] and Ann(I)*M <= kappa(M) <= M[I], and names, per suite, the
-# fixtures on which that suite reports a FAIL at trials=3.  lemma11,
-# satz25, folg32 and folg33 catch none of the four.  Replaced by its
-# upper bound, gamma makes P membership read "Ann(I)*M = 0", and so does
-# kappa by its lower bound for S: only KXY, whose ideal fails the epi
-# criterion, tells these apart from P and S.
+def _untransposed_dual(M):
+    return FModule(M.parent, M.actions)
+
+
+# each fault replaces a functor and names, per suite, the fixtures on
+# which that suite reports a FAIL under `verify all` at trials=3; every
+# other suite and fixture passes.  The first four replace gamma or kappa
+# by one of its bounds, I*M <= gamma(M) <= M[Ann I] and Ann(I)*M <=
+# kappa(M) <= M[I].  lemma11, satz25, folg32 and folg33 catch none of
+# them.  Replaced by its upper bound, gamma makes P membership read
+# "Ann(I)*M = 0", and so does kappa by its lower bound for S: only KXY,
+# whose ideal fails the epi criterion, tells these apart from P and S.
+# The last two break Matlis duality: a dual that keeps M's actions
+# untransposed, and a socle that returns the radical m*M.
 FAULTS = {
     "gamma": (
-        "gamma",
+        classes, "gamma",
         lambda ctx, M, shortcut=True: ideal_times_module(ctx.I, M),
         {"satz22": ALL, "satz31": ("R3",), "satz35": ALL, "folg36": ALL,
          "duality": ("R3", "R4", "V2"), "closure": ALL},
     ),
     "gamma-upper": (
-        "gamma",
+        classes, "gamma",
         lambda ctx, M, shortcut=True: annihilator_submodule(M, ctx.ann_i),
         {"duality": ("KXY",)},
     ),
     "kappa": (
-        "kappa",
+        classes, "kappa",
         lambda ctx, M, shortcut=True: annihilator_submodule(M, ctx.I),
         {"satz31": ("R3",), "satz35": ALL, "folg36": ALL, "duality": ("R3", "R4", "V2")},
     ),
     "kappa-lower": (
-        "kappa",
+        classes, "kappa",
         lambda ctx, M, shortcut=True: ideal_times_module(ctx.ann_i, M),
         {"duality": ("KXY",)},
+    ),
+    "matlis_dual-untransposed": (
+        duality, "matlis_dual", _untransposed_dual,
+        {"folg36": ("R3", "R4"), "duality": ("V2",)},
+    ),
+    "socle-radical": (
+        modules, "socle", radical,
+        {"duality": ("R3", "R4", "KXY")},
     ),
 }
 
 
+def _patch_every_binding(monkeypatch, module, functor, replacement):
+    """Replace the functor in the module that defines it and in every
+    matlislab module that imported it."""
+    original = getattr(module, functor)
+    for name, mod in sorted(sys.modules.items()):
+        if name != "matlislab" and not name.startswith("matlislab."):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, replacement)
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_suites_catch_injected_fault(monkeypatch, fault):
-    functor, replacement, catching = FAULTS[fault]
-    # suites calls the functor directly, the membership tests in classes too
-    for module in (classes, suites):
-        monkeypatch.setattr(module, functor, replacement)
-    for suite, names in sorted(catching.items()):
+    module, functor, replacement, catching = FAULTS[fault]
+    _patch_every_binding(monkeypatch, module, functor, replacement)
+    caught = {}
+    for name in ALL:
         # freshly parsed fixtures: memos that earlier tests filled on the
         # algebras and modules cannot hide the fault
-        for name in names:
-            rep = run_suite(load(name), suite, trials=3)
-            assert rep.has_fail(), (fault, name, suite)
+        for rec in run_suite(load(name), "all", trials=3).records:
+            if rec.status == "FAIL":
+                caught.setdefault(rec.name.split("-")[0], set()).add(name)
+    assert caught == {suite: set(names) for suite, names in catching.items()}
