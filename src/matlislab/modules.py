@@ -457,19 +457,6 @@ def submodule_sum(U, V):
     )
 
 
-def submodule_intersection(U, V):
-    if U.ambient != V.ambient:
-        raise NotASubmodule("intersection of submodules of different modules")
-    M = U.ambient
-    f = M.parent.field
-    fu = linalg.vanishing_functionals(U.basis_matrix, M.dim, f)
-    fv = linalg.vanishing_functionals(V.basis_matrix, M.dim, f)
-    rows = list(fu) + list(fv)
-    if not rows:
-        return M.full_submodule()
-    return Submodule(M, *linalg.kernel(rows, f))
-
-
 def uniserial_chain(M):
     """The radical chain M = M_0 > M_1 > ... > M_n = 0, all layers simple.
 

@@ -27,7 +27,11 @@ class CheckRecord:
 
 
 def check(name, fixture, ok, witness="-"):
-    return CheckRecord(name, fixture, PASS if ok else FAIL, witness if not ok else "-")
+    """A PASS record renders no witness, so a callable witness is called
+    only when the check fails."""
+    if ok:
+        return CheckRecord(name, fixture, PASS)
+    return CheckRecord(name, fixture, FAIL, witness() if callable(witness) else witness)
 
 
 class Report:

@@ -10,6 +10,16 @@ Some records hold by construction, as is_p_member and is_s_member decide
 False from the Ann(I) bound: the second half of each lemma11 chain,
 satz22-forward and that direction of satz22-equivalence, and the satz25
 verdicts.
+
+Checks that hold by construction are not run:
+- duality does not certify the map M -> M°°: the dual transposes the
+  actions, so M°° carries M's own actions and the map is the identity.
+  Nor does it compare dim(M°) with dim(M): matlis_dual keeps the
+  dimension.
+- satz31 checks socle(M) <= gamma, not the socle of M[Ann I]: for
+  I != 0, Ann(I) lies in m, so socle(M) lies in M[Ann I].
+- No PASS record builds its witness text: check calls a witness given
+  as a callable only on FAIL.
 """
 
 from .algebra import (
@@ -29,7 +39,7 @@ from .classes import (
     uniserial_duality,
     uniserial_s,
 )
-from .duality import annihilator_in_dual, evaluation_map, matlis_dual, injective_cogenerator
+from .duality import annihilator_in_dual, matlis_dual, injective_cogenerator
 from .errors import MatlisLabError, NotUniserial
 from .ext import satz25_search
 from .fixtures import format_element, format_ideal, format_submodule
@@ -44,7 +54,6 @@ from .modules import (
     regular_module,
     socle,
     submodule_as_module,
-    submodule_intersection,
     submodule_sum,
     uniserial_chain,
     zero_module,
@@ -117,7 +126,7 @@ def suite_satz22(fx, trials, rng):
                     "satz22-submodule-%03d" % t,
                     fx.name,
                     is_p_member(ctx, Umod),
-                    "submodule %s of P-member fails P" % format_submodule(U),
+                    lambda: "submodule %s of P-member fails P" % format_submodule(U),
                 )
             )
         for t in range(trials):
@@ -219,8 +228,10 @@ def suite_satz31(fx, trials, rng):
             and upper_g.contains_submodule(g)
             and k.contains_submodule(lower_k)
             and upper_k.contains_submodule(k)
-            # essential: the socle of M[Ann I] lies inside the trace
-            and g.contains_submodule(submodule_intersection(upper_g, socle(M)))
+            # essential: the socle of M[Ann I] lies inside the trace.  For
+            # I != 0, Ann(I) lies in m, so socle(M) lies in M[Ann I] and is
+            # that socle; for I = 0, M[Ann I] = M[R] = 0
+            and (I.dim == 0 or g.contains_submodule(socle(M)))
             # small: the reject lands in m.M + Ann(I).M
             and submodule_sum(radical(M), lower_k).contains_submodule(k)
         )
@@ -229,7 +240,7 @@ def suite_satz31(fx, trials, rng):
                 "satz31-%03d" % t,
                 fx.name,
                 ok,
-                "I=%s dimM=%d gamma=%s kappa=%s"
+                lambda: "I=%s dimM=%d gamma=%s kappa=%s"
                 % (format_ideal(I), M.dim, format_submodule(g), format_submodule(k)),
             )
         )
@@ -255,7 +266,7 @@ def suite_folg32(fx, trials, rng):
             and annihilator_submodule(M, ctx.I).contains_submodule(k)
         )
         records.append(check("folg32-injective-E%d" % j, fx.name, ok,
-                             "gamma=%s" % format_submodule(g)))
+                             lambda: "gamma=%s" % format_submodule(g)))
     for j in (1, 2, 3):
         M, _ = direct_power(R, j)
         g = gamma(ctx, M, shortcut=False)
@@ -267,7 +278,7 @@ def suite_folg32(fx, trials, rng):
             and ideal_times_module(ctx.bar_i, M).contains_submodule(g)
         )
         records.append(check("folg32-flat-R%d" % j, fx.name, ok,
-                             "kappa=%s" % format_submodule(k)))
+                             lambda: "kappa=%s" % format_submodule(k)))
     return records
 
 
@@ -295,7 +306,7 @@ def suite_folg33(fx, trials, rng):
                 "folg33-%02d" % t,
                 fx.name,
                 all(oks),
-                "I=%s annihilator-closed=%s" % (format_ideal(I2), closed),
+                lambda: "I=%s annihilator-closed=%s" % (format_ideal(I2), closed),
             )
         )
     return records
@@ -340,7 +351,7 @@ def suite_satz35(fx, trials, rng):
                 "satz35-%s" % name,
                 fx.name,
                 ok,
-                "s=%d formula-gamma=%s trace=%s formula-kappa=%s reject=%s"
+                lambda: "s=%d formula-gamma=%s trace=%s formula-kappa=%s reject=%s"
                 % (s, format_submodule(g_formula), format_submodule(g),
                    format_submodule(k_formula), format_submodule(k)),
             )
@@ -369,30 +380,25 @@ def suite_duality(fx, trials, rng):
     records = []
     for t in range(trials):
         M = random_module(A, rng)
-        try:
-            evaluation_map(M)
-            ev_ok = True
-        except MatlisLabError:
-            ev_ok = False
         Md = matlis_dual(M)
-        dims_ok = Md.dim == M.dim
         ta, tb = duality_transfer(ctx, M)
         U = random_submodule(M, rng)
         D1 = annihilator_in_dual(M, U)
         comp_ok = D1.dim == M.dim - U.dim
         V = submodule_sum(U, random_submodule(M, rng))
         rev_ok = D1.contains_submodule(annihilator_in_dual(M, V))
-        # exact double-annihilator identity through the evaluation map
+        # exact double-annihilator identity: in dual-basis coordinates
+        # M°° is M, so the annihilator of D1 in M°° is U itself
         D2 = annihilator_in_dual(Md, D1)
         galois_ok = D2.basis_matrix == U.basis_matrix
-        ok = ev_ok and dims_ok and ta and tb and comp_ok and rev_ok and galois_ok
+        ok = ta and tb and comp_ok and rev_ok and galois_ok
         records.append(
             check(
                 "duality-%03d" % t,
                 fx.name,
                 ok,
-                "dimM=%d eval=%s transfer=(%s,%s) complement=%s reversal=%s galois=%s"
-                % (M.dim, ev_ok, ta, tb, comp_ok, rev_ok, galois_ok),
+                "dimM=%d transfer=(%s,%s) complement=%s reversal=%s galois=%s"
+                % (M.dim, ta, tb, comp_ok, rev_ok, galois_ok),
             )
         )
     E = injective_cogenerator(A)

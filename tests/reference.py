@@ -30,9 +30,11 @@
 - Uncached ideal-derived data: minimal generators, the data of a
   ClassContext, I*M and M[I], computed afresh from k-bases where the
   library keeps them by the value of the ideal.
-- Constructions only tests use: the zero ideal, sums of ideals, colon
-  submodules, the essential and small tests, the zero cocycle, the
-  image of a map, and the short-exactness test of a pair of maps.
+- Constructions only tests use: the zero ideal, sums of ideals,
+  intersections and colon submodules, the essential and small tests, the
+  zero cocycle, the image of a map, and the short-exactness test of a
+  pair of maps.  satz31 needs no intersection: it checks socle(M) <=
+  gamma directly.
 - A rescaled copy of a module, whose actions have denominators over Q.
 - The representation law checked pair by pair: associativity of the
   multiplication table over all dim^3 triples of basis elements, and
@@ -263,6 +265,21 @@ def ideal_sum(I, J):
         raise ParentMismatch("ideal sum across different algebras")
     rows = list(I.basis_matrix) + list(J.basis_matrix)
     return Ideal(I.parent, *linalg.rref(rows, I.parent.field))
+
+
+def submodule_intersection(U, V):
+    """U meet V, as the common kernel of the functionals vanishing on
+    each."""
+    if U.ambient != V.ambient:
+        raise NotASubmodule("intersection of submodules of different modules")
+    M = U.ambient
+    f = M.parent.field
+    fu = linalg.vanishing_functionals(U.basis_matrix, M.dim, f)
+    fv = linalg.vanishing_functionals(V.basis_matrix, M.dim, f)
+    rows = list(fu) + list(fv)
+    if not rows:
+        return M.full_submodule()
+    return Submodule(M, *linalg.kernel(rows, f))
 
 
 def colon_submodule(N, I, M):

@@ -11,6 +11,7 @@ from reference import (
     is_small,
     per_scalar_element,
     rescaled,
+    submodule_intersection,
 )
 from matlislab import linalg
 from matlislab.algebra import ideal_from_generators, minimal_generators
@@ -40,7 +41,6 @@ from matlislab.modules import (
     socle,
     submodule_as_module,
     submodule_from_spanning,
-    submodule_intersection,
     submodule_sum,
     uniserial_chain,
     zero_module,

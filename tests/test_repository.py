@@ -22,7 +22,11 @@ def test_no_tracked_file_is_ignored():
 # Public names that no code in the package calls yet, each with its reason.
 # element_terms writes an ideal's generators as fixture terms; the FAIL
 # witnesses that serialize ideals are its planned caller.
-UNCALLED_API = {("fixtures.py", "element_terms")}
+# evaluation_map certifies M -> M°°, which holds by construction, so no
+# suite calls it; the benchmark still declares its metric
+# duality.evaluation_map.calls/self_s, which ROADMAP item 8 retires
+# together with the function.
+UNCALLED_API = {("fixtures.py", "element_terms"), ("duality.py", "evaluation_map")}
 
 
 def _is_property(node):

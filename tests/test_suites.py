@@ -81,6 +81,37 @@ def test_fail_records_carry_witness():
     assert CheckRecord("x", "FX", "FAIL", "dim=2").render() == "CHECK x FX FAIL dim=2"
 
 
+def test_pass_record_never_builds_its_witness():
+    def refuse():
+        raise AssertionError("witness built for a PASS")
+
+    assert check("n", "F", True, refuse).render() == "CHECK n F PASS -"
+    calls = []
+
+    def witness():
+        calls.append(1)
+        return "dim=2"
+
+    assert check("n", "F", False, witness).render() == "CHECK n F FAIL dim=2"
+    assert calls == [1]
+    for empty in ("", "-"):
+        with pytest.raises(MatlisLabError):
+            check("n", "F", False, lambda: empty)
+
+
+@pytest.mark.parametrize("name", ["R3", "V2"])
+def test_pass_records_format_no_witness(monkeypatch, name):
+    expected = [r.render() for r in run_suite(load(name), "all", trials=3).records]
+
+    def refuse(*args):
+        raise AssertionError("witness formatted for a PASS")
+
+    monkeypatch.setattr(suites, "format_submodule", refuse)
+    monkeypatch.setattr(suites, "format_ideal", refuse)
+    got = [r.render() for r in run_suite(load(name), "all", trials=3).records]
+    assert got == expected
+
+
 def test_satz22_counterexample_fail_names_missing_witness(kxy, monkeypatch):
     # KXY's ideal fails the epi criterion, so satz22 builds a counterexample
     monkeypatch.setattr(suites, "submodule_counterexample", lambda ctx: None)
