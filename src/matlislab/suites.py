@@ -11,15 +11,12 @@ False from the Ann(I) bound: the second half of each lemma11 chain,
 satz22-forward and that direction of satz22-equivalence, and the satz25
 verdicts.
 
-Checks that hold by construction are not run:
-- duality does not certify the map M -> M°°: the dual transposes the
-  actions, so M°° carries M's own actions and the map is the identity.
-  Nor does it compare dim(M°) with dim(M): matlis_dual keeps the
-  dimension.
-- satz31 checks socle(M) <= gamma, not the socle of M[Ann I]: for
-  I != 0, Ann(I) lies in m, so socle(M) lies in M[Ann I].
-- No PASS record builds its witness text: check calls a witness given
-  as a callable only on FAIL.
+Checks that hold by construction are not run: the map M -> M°° (the
+dual transposes the actions, so M°° carries M's own and the map is the
+identity), dim(M°) = dim(M) (matlis_dual keeps it), and the socle of
+M[Ann I] in satz31 (for I != 0, Ann(I) lies in m, so it is socle(M)).
+A PASS record renders no witness, so check calls a callable witness
+only on FAIL.
 """
 
 from .algebra import (
@@ -228,9 +225,8 @@ def suite_satz31(fx, trials, rng):
             and upper_g.contains_submodule(g)
             and k.contains_submodule(lower_k)
             and upper_k.contains_submodule(k)
-            # essential: the socle of M[Ann I] lies inside the trace.  For
-            # I != 0, Ann(I) lies in m, so socle(M) lies in M[Ann I] and is
-            # that socle; for I = 0, M[Ann I] = M[R] = 0
+            # essential: the socle of M[Ann I] lies inside the trace; it is
+            # socle(M) for I != 0, as Ann(I) <= m, and 0 for I = 0
             and (I.dim == 0 or g.contains_submodule(socle(M)))
             # small: the reject lands in m.M + Ann(I).M
             and submodule_sum(radical(M), lower_k).contains_submodule(k)

@@ -239,10 +239,6 @@ def test_unknown_suite_rejected(r3):
 
 ALL = tuple(FIXTURE_NAMES)
 
-def _untransposed_dual(M):
-    return FModule(M.parent, M.actions)
-
-
 # each fault replaces a functor and names, per suite, the fixtures on
 # which that suite reports a FAIL under `verify all` at trials=3; every
 # other suite and fixture passes.  The first four replace gamma or kappa
@@ -276,7 +272,7 @@ FAULTS = {
         {"duality": ("KXY",)},
     ),
     "matlis_dual-untransposed": (
-        duality, "matlis_dual", _untransposed_dual,
+        duality, "matlis_dual", lambda M: FModule(M.parent, M.actions),
         {"folg36": ("R3", "R4"), "duality": ("V2",)},
     ),
     "socle-radical": (
