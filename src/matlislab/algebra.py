@@ -76,8 +76,10 @@ class Algebra:
     """An Artinian local k-algebra on a canonical monomial basis.
 
     Built by :func:`build_algebra`; immutable afterwards.  It keeps the
-    left multiplications, their linalg.stacked_columns ``left_cols`` (for
-    spans R*g), the maximal ideal, and memos of data derived from ideals.
+    left multiplications, the only ring product: a product u*v is
+    sum_i u_i L_i v, and their linalg.stacked_columns ``left_cols`` give
+    every b_i*v at once (spans R*g, ideal products).  It also keeps the
+    maximal ideal, and memos of data derived from ideals.
     """
 
     def __init__(self, field, variables, bound, basis, mult_table, var_elements):
@@ -110,35 +112,6 @@ class Algebra:
         # per distinct module its memo (modules._by_ideal_value), and each
         # drawn module itself (randmod); emptied by suites.run_suite
         self._module_memo = {}
-
-    def multiply(self, u, v):
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatch(
-                "elements of length %d/%d over algebra of dim %d"
-                % (len(u), len(v), self.dim)
-            )
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = f.mul(ui, vj)
-                tij = self.mult_table[i][j]
-                for r in range(self.dim):
-                    if tij[r]:
-                        out[r] = f.add(out[r], f.mul(c, tij[r]))
-        return tuple(out)
-
-    def is_nilpotent(self, u):
-        w = u
-        for _ in range(self.bound + 1):
-            if not any(w):
-                return True
-            w = self.multiply(w, u)
-        return not any(w)
 
     def element_from_terms(self, terms):
         """Build an element from (coeff, exponent-tuple) terms.
@@ -180,8 +153,12 @@ def build_algebra(pres):
     """Construct and validate the algebra of a presentation.
 
     The reduction space is the span of all monomial multiples of the
-    relations inside the degree <= N truncation.  The bound is certified
-    by checking that every degree-N monomial reduces to zero.
+    relations inside the degree <= N truncation.  Its echelon form is
+    reduced, with the monomials in descending graded-lex order, so every
+    normal form is read off it: the monomial at pivot column c_i is
+    minus the rest of row i, and every other monomial is its own normal
+    form.  The bound is certified by checking that every degree-N
+    monomial reduces to zero.
     """
     f = pres.field
     n = len(pres.variables)
@@ -215,18 +192,17 @@ def build_algebra(pres):
     else:
         red, pivots = (), ()
 
-    def normal_form_cols(exps):
-        vec = [f.zero] * ncols
-        vec[col_of[exps]] = f.one
-        return linalg.reduce_vector(red, pivots, vec, f)
+    # normal forms as (column, coefficient) pairs
+    nf = {m: ((c, f.one),) for c, m in enumerate(cols)}
+    for row, c in zip(red, pivots):
+        nf[cols[c]] = tuple((k, f.neg(x)) for k, x in enumerate(row) if x and k != c)
 
-    one_mon = tuple(0 for _ in range(n))
-    if not any(normal_form_cols(one_mon)):
+    if not nf[tuple(0 for _ in range(n))]:
         raise InconsistentPresentation("1 reduces to 0 in the presentation")
 
     for m in mons:
         if sum(m) == N:
-            if any(normal_form_cols(m)):
+            if nf[m]:
                 raise BoundNotCertified(
                     "degree-%d monomial %r does not reduce to 0" % (N, m)
                 )
@@ -243,31 +219,22 @@ def build_algebra(pres):
         )
     basis_index = {m: i for i, m in enumerate(basis)}
 
-    def nf_coords(exps):
-        """Normal form of a monomial as coordinates over the basis."""
-        if sum(exps) >= N:
-            return tuple(f.zero for _ in range(dim))
-        v = normal_form_cols(exps)
-        out = [f.zero] * dim
-        for ci, x in enumerate(v):
-            if x:
-                out[basis_index[cols[ci]]] = x
-        return tuple(out)
-
+    # the normal forms over the basis; a monomial of degree above N is zero
+    zero = (f.zero,) * dim
+    monomial_nf = {}
+    for m in mons:
+        out = list(zero)
+        for c, x in nf[m]:
+            out[basis_index[cols[c]]] = x
+        monomial_nf[m] = tuple(out)
     mult_table = tuple(
-        tuple(
-            nf_coords(tuple(a + b for a, b in zip(basis[i], basis[j])))
-            for j in range(dim)
-        )
-        for i in range(dim)
+        tuple(monomial_nf.get(tuple(a + b for a, b in zip(u, w)), zero) for w in basis)
+        for u in basis
     )
-    var_elements = []
-    for vi in range(n):
-        e = tuple(1 if k == vi else 0 for k in range(n))
-        var_elements.append(nf_coords(e))
+    var_elements = [monomial_nf[tuple(int(k == v) for k in range(n))] for v in range(n)]
 
     A = Algebra(f, pres.variables, N, basis, mult_table, var_elements)
-    A._monomial_nf = {m: nf_coords(m) for m in mons}
+    A._monomial_nf = monomial_nf
     _validate_algebra(A)
     return A
 
@@ -293,14 +260,17 @@ def _validate_algebra(A):
     # local ring certificate: every basis element except 1 is nilpotent,
     # so c*1 + nilpotent is invertible whenever c != 0
     for i in range(1, dim):
-        if not A.is_nilpotent(_unit_vector(dim, i, f)):
+        w = _unit_vector(dim, i, f)
+        for _ in range(A.bound + 1):
+            if not any(w):
+                break
+            w = linalg.mat_vec(A.left_mult[i], w, f)
+        if any(w):
             raise NotLocal("basis element %d is not nilpotent" % i)
-    # maxIdeal^(N+1) = 0 for the certified bound; maxIdeal^(k+1) is spanned
-    # by maxIdeal^k times the variables, which generate maxIdeal (above)
+    # maxIdeal^(N+1) = 0 for the certified bound
     mpow = A.max_ideal
     for _ in range(A.bound):
-        rows = [A.multiply(u, x) for u in mpow.basis_matrix for x in A.var_elements]
-        mpow = _ideal_from_rows(A, rows)
+        mpow = ideal_product(mpow, A.max_ideal)
     if mpow.dim != 0:
         raise BoundNotCertified("maximal ideal not nilpotent at the certified bound")
 
@@ -401,11 +371,6 @@ class Ideal:
         return "Ideal(dim=%d of %r)" % (self.dim, self.parent)
 
 
-def _ideal_from_rows(A, rows):
-    red, pivots = linalg.rref(rows, A.field) if rows else ((), ())
-    return Ideal(A, red, pivots)
-
-
 def unit_ideal(A):
     return Ideal(
         A,
@@ -429,10 +394,15 @@ def ideal_product(I, J):
     if I.parent is not J.parent:
         raise ParentMismatch("ideal product across different algebras")
     A = I.parent
-    rows = [
-        A.multiply(u, v) for u in I.basis_matrix for v in J.basis_matrix
-    ]
-    return _ideal_from_rows(A, rows)
+    n = A.dim
+    rows = []
+    # the u*v over I's basis are its rows times the matrix of rows b_k*v,
+    # which linalg.products returns scaled by one positive integer
+    for v in J.basis_matrix:
+        prods = linalg.products(A.left_cols, v)
+        by_k = [prods[k:k + n] for k in range(0, n * n, n)]
+        rows.extend(linalg.mat_mul(I.basis_matrix, by_k, A.field))
+    return Ideal(A, *linalg.rref(rows, A.field))
 
 
 def annihilator_of_ideal(I):

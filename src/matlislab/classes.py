@@ -192,7 +192,9 @@ def _kappa(ctx, M, shortcut):
     spanning = []
     for s in ctx.syzygies():
         spanning.extend(_row_block([linalg.transpose(M.action_of(si)) for si in s]))
-    funcs = linalg.vanishing_functionals(spanning, n * M.dim, f)
+    # the functionals vanishing on Syz.M; any basis of them gives the
+    # same joint kernel below
+    funcs = linalg.kernel(spanning, f)[0] if spanning else linalg.identity(n * M.dim, f)
     if not funcs:
         return M.full_submodule()
     rows = [phi for v in funcs for phi in _slots(v, n, M.dim)]

@@ -33,7 +33,7 @@ def evaluation_map(M):
     dd = matlis_dual(matlis_dual(M))
     mat = linalg.identity(M.dim, M.parent.field)
     ev = ModuleMap(M, dd, mat, check=True)
-    if not ev.is_injective():
+    if ev.rank() != M.dim:
         raise NotASubmodule("evaluation map is not an isomorphism")
     return ev
 

@@ -146,7 +146,9 @@ def free_cover(M):
     """Minimal free cover: R^t -> M with t = dim of M / mM.
 
     Generators map to lifts of a basis of the top; minimality shows up
-    as syzygy <= radical(free), which is verified.
+    as syzygy <= radical(free), which is verified on the coordinates:
+    radical(free) = m*R^t is where the coefficient of b_0 = 1 is zero in
+    every slot.
     """
     A = M.parent
     f = A.field
@@ -157,7 +159,8 @@ def free_cover(M):
     # e_i, i = keep[s]: column i of the action of b_j
     matrix = tuple(tuple(a[r][i] for i in keep for a in M.actions) for r in range(M.dim))
     cov = FreeCover(M, len(keep), ModuleMap(free, M, matrix, check=False))
-    if not radical(cov.free).contains_submodule(cov.syzygy):
+    d = A.dim
+    if any(row[s * d] for row in cov.syzygy.basis_matrix for s in range(cov.rank)):
         raise MatlisLabError("free cover is not minimal")
     return cov
 

@@ -486,13 +486,3 @@ def stack(*matrices):
     for m in matrices:
         out.extend(m)
     return tuple(out)
-
-
-def vanishing_functionals(rows, ncols, field):
-    """Basis of linear functionals killing the row space of ``rows``.
-
-    Functionals are returned as row vectors f with rows . f^T = 0.
-    """
-    if not rows:
-        return identity(ncols, field)
-    return nullspace(rows, field)

@@ -144,9 +144,6 @@ class ModuleMap:
     def rank(self):
         return linalg.rank(self.matrix, self.source.parent.field)
 
-    def is_injective(self):
-        return self.rank() == self.source.dim
-
     def is_surjective(self):
         return self.rank() == self.target.dim
 

@@ -35,12 +35,12 @@ class Lcg:
         return (self.state >> 32) % n
 
 
-def _vectors(field, rng, count, length, spread=2):
+def _vectors(field, rng, count, length):
     """count lists of length small scalars, drawn as that many calls of
     rng.randint would draw them, in one loop that steps the generator
-    state locally: integers in [-spread, spread] over Q, residues over F_p."""
+    state locally: integers in [-2, 2] over Q, residues over F_p."""
     p = getattr(field, "p", None)
-    n, shift = (p, 0) if p is not None else (2 * spread + 1, spread)
+    n, shift = (p, 0) if p is not None else (5, 2)
     state = rng.state
     flat = []
     for _ in range(count * length):
@@ -50,23 +50,20 @@ def _vectors(field, rng, count, length, spread=2):
     return [flat[i * length:(i + 1) * length] for i in range(count)]
 
 
-def random_ideal(A, rng, max_gens=2, allow_unit=False):
-    gens = _vectors(A.field, rng, 1 + rng.randint(max_gens), A.dim)
-    if not allow_unit:
-        for g in gens:
-            g[0] = A.field.zero
-    return ideal_from_generators(A, gens)
+def random_ideal(A, rng):
+    """The ideal of one or two random elements, units allowed."""
+    return ideal_from_generators(A, _vectors(A.field, rng, 1 + rng.randint(2), A.dim))
 
 
-def random_module(A, rng, max_rank=2):
+def random_module(A, rng):
     """A random finite-length module: cokernel of a random presentation.
 
-    R^t / (columns), t <= max_rank, with random relation columns, each
-    slot a non-unit; the dimension is bounded by t * dim(A).  The module
-    is read off the multiplication table (see cokernel_of_presentation),
+    R^t / (columns), t <= 2, with random relation columns, each slot a
+    non-unit; the dimension is bounded by t * dim(A).  The module is
+    read off the multiplication table (see cokernel_of_presentation),
     once per echelon form of the relations in a suite.
     """
-    t = 1 + rng.randint(max_rank)
+    t = 1 + rng.randint(2)
     cols = _vectors(A.field, rng, rng.randint(2 * t + 1), t * A.dim)
     for c in cols:
         c[::A.dim] = [A.field.zero] * t
@@ -78,7 +75,7 @@ def random_module(A, rng, max_rank=2):
     return M
 
 
-def random_submodule(M, rng, max_gens=2):
-    """A random submodule: closure of a few random vectors."""
-    ngens = 1 + rng.randint(max_gens)
+def random_submodule(M, rng):
+    """A random submodule: closure of one or two random vectors."""
+    ngens = 1 + rng.randint(2)
     return generated_submodule(M, _vectors(M.parent.field, rng, ngens, M.dim))

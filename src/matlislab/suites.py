@@ -207,7 +207,7 @@ def suite_satz31(fx, trials, rng):
     A = fx.algebra
     records = []
     for t in range(trials):
-        I = random_ideal(A, rng, allow_unit=True)
+        I = random_ideal(A, rng)
         ctx = class_context(A, I)
         M = random_module(A, rng)
         g_fast = gamma(ctx, M, shortcut=True)
@@ -285,7 +285,7 @@ def suite_folg33(fx, trials, rng):
     records = []
     n_ideals = max(3, min(trials, 8))
     for t in range(n_ideals):
-        J = random_ideal(A, rng, allow_unit=True)
+        J = random_ideal(A, rng)
         I2 = annihilator_of_ideal(J)
         ctx = class_context(A, I2)
         closed = ctx.bar_i == I2

@@ -30,12 +30,14 @@
 - Uncached ideal-derived data: minimal generators, the data of a
   ClassContext, I*M and M[I], computed afresh from k-bases where the
   library keeps them by the value of the ideal.
-- Constructions only tests use: the zero ideal, sums of ideals,
-  intersections and colon submodules, the essential and small tests, the
-  zero cocycle, the image of a map, and the short-exactness test of a
-  pair of maps.  satz31 needs no intersection: it checks socle(M) <=
+- Constructions only tests use: the zero ideal, sums of ideals, the
+  functionals vanishing on a subspace, intersections and colon
+  submodules, the essential and small tests, the zero cocycle, the image
+  of a map, and the short-exactness test of a pair of maps.  satz31 needs no intersection: it checks socle(M) <=
   gamma directly.
 - A rescaled copy of a module, whose actions have denominators over Q.
+- The product of two elements summed over the multiplication table.
+  The library multiplies by the left multiplications L_i alone.
 - The representation law checked pair by pair: associativity of the
   multiplication table over all dim^3 triples of basis elements, and
   A_i A_j = sum_l (b_i b_j)_l A_l over all dim^2 pairs of actions
@@ -108,30 +110,32 @@ def cokernel_by_free_module(A, rank, columns):
     return quotient_module(free, sub)[0]
 
 
-def per_scalar_draws(field, rng, count, spread=2):
+def per_scalar_draws(field, rng, count):
     """count scalars, one rng.randint call each: residues over F_p,
-    integers in [-spread, spread] over Q."""
+    integers in [-2, 2] over Q."""
     p = getattr(field, "p", None)
     if p is not None:
         return tuple(rng.randint(p) for _ in range(count))
-    return tuple(field.of(rng.randint(2 * spread + 1) - spread) for _ in range(count))
+    return tuple(field.of(rng.randint(5) - 2) for _ in range(count))
 
 
-def per_scalar_element(A, rng, spread=2, unit=True):
+def per_scalar_element(A, rng, unit=True):
     """A random element, of the maximal ideal unless ``unit``."""
-    v = per_scalar_draws(A.field, rng, A.dim, spread)
+    v = per_scalar_draws(A.field, rng, A.dim)
     return v if unit else (A.field.zero,) + v[1:]
 
 
-def per_scalar_ideal_generators(A, rng, max_gens=2, allow_unit=False):
-    """The generators that randmod.random_ideal draws."""
-    ngens = 1 + rng.randint(max_gens)
-    return [per_scalar_element(A, rng, unit=allow_unit) for _ in range(ngens)]
+def per_scalar_ideal_generators(A, rng, unit=True):
+    """The generators that randmod.random_ideal draws, or with ``unit``
+    false the same draws moved into the maximal ideal, for tests that
+    need proper ideals."""
+    ngens = 1 + rng.randint(2)
+    return [per_scalar_element(A, rng, unit) for _ in range(ngens)]
 
 
-def per_scalar_presentation(A, rng, max_rank=2):
+def per_scalar_presentation(A, rng):
     """(t, columns), the presentation that randmod.random_module draws."""
-    t = 1 + rng.randint(max_rank)
+    t = 1 + rng.randint(2)
     nrels = rng.randint(2 * t + 1)
     cols = []
     for _ in range(nrels):
@@ -142,9 +146,9 @@ def per_scalar_presentation(A, rng, max_rank=2):
     return t, cols
 
 
-def per_scalar_submodule_vectors(M, rng, max_gens=2):
+def per_scalar_submodule_vectors(M, rng):
     """The vectors whose closure randmod.random_submodule takes."""
-    ngens = 1 + rng.randint(max_gens)
+    ngens = 1 + rng.randint(2)
     return [per_scalar_draws(M.parent.field, rng, M.dim) for _ in range(ngens)]
 
 
@@ -267,6 +271,14 @@ def ideal_sum(I, J):
     return Ideal(I.parent, *linalg.rref(rows, I.parent.field))
 
 
+def vanishing_functionals(rows, ncols, field):
+    """Basis of the linear functionals f killing the row space of
+    ``rows``, as row vectors with rows . f^T = 0."""
+    if not rows:
+        return linalg.identity(ncols, field)
+    return linalg.nullspace(rows, field)
+
+
 def submodule_intersection(U, V):
     """U meet V, as the common kernel of the functionals vanishing on
     each."""
@@ -274,8 +286,8 @@ def submodule_intersection(U, V):
         raise NotASubmodule("intersection of submodules of different modules")
     M = U.ambient
     f = M.parent.field
-    fu = linalg.vanishing_functionals(U.basis_matrix, M.dim, f)
-    fv = linalg.vanishing_functionals(V.basis_matrix, M.dim, f)
+    fu = vanishing_functionals(U.basis_matrix, M.dim, f)
+    fv = vanishing_functionals(V.basis_matrix, M.dim, f)
     rows = list(fu) + list(fv)
     if not rows:
         return M.full_submodule()
@@ -290,7 +302,7 @@ def colon_submodule(N, I, M):
     gens = minimal_generators(I)
     if not gens:
         return M.full_submodule()
-    funcs = linalg.vanishing_functionals(N.basis_matrix, M.dim, f)
+    funcs = vanishing_functionals(N.basis_matrix, M.dim, f)
     rows = []
     for g in gens:
         act = M.action_of(g)
@@ -346,7 +358,7 @@ def is_short_exact(iota, pi):
         ModuleMap(phi.source, phi.target, phi.matrix, check=True)
     return (
         iota.target is pi.source
-        and iota.is_injective()
+        and iota.rank() == iota.source.dim
         and pi.is_surjective()
         and image(iota) == pi.kernel()
     )
@@ -416,13 +428,13 @@ def lower_star(ctx, M, W, e):
     """I((e(M) :_W I)) pulled back along e; must equal gamma(ctx, M)."""
     if not is_injective_module(W):
         raise NotInjectiveAmbient("ambient of the lower star is not injective")
-    if not e.is_injective():
+    if e.rank() != e.source.dim:
         raise NotInjectiveAmbient("embedding is not injective")
     f = M.parent.field
     eM = image(e)
     col = colon_submodule(eM, ctx.I, W)
     S = ideal_times_submodule(ctx.I, col)
-    funcs = linalg.vanishing_functionals(S.basis_matrix, W.dim, f)
+    funcs = vanishing_functionals(S.basis_matrix, W.dim, f)
     rows = [linalg.mat_vec(linalg.transpose(e.matrix), phi, f) for phi in funcs]
     if not rows:
         return M.full_submodule()
@@ -469,12 +481,30 @@ def certified_module(A, actions):
     return M
 
 
+def multiply(A, u, v):
+    """u*v in A, summed term by term over the multiplication table."""
+    f = A.field
+    out = [f.zero] * A.dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            c = f.mul(ui, vj)
+            tij = A.mult_table[i][j]
+            for r in range(A.dim):
+                if tij[r]:
+                    out[r] = f.add(out[r], f.mul(c, tij[r]))
+    return tuple(out)
+
+
 def is_associative(A):
     """(b_i b_j) b_k = b_i (b_j b_k) for all dim^3 triples of basis elements."""
     f = A.field
     units = [tuple(f.one if r == k else f.zero for r in range(A.dim)) for k in range(A.dim)]
     return all(
-        A.multiply(A.mult_table[i][j], units[k]) == A.multiply(units[i], A.mult_table[j][k])
+        multiply(A, A.mult_table[i][j], units[k]) == multiply(A, units[i], A.mult_table[j][k])
         for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)
     )
 

@@ -14,6 +14,7 @@ from reference import (
     image_in_quotient,
     is_short_exact,
     lower_star,
+    multiply,
     upper_star,
     zero_ideal,
 )
@@ -62,7 +63,7 @@ def test_criterion_1_duality_involution(fixtures):
         for i in range(100):
             M = random_module(fx.algebra, rng)
             ev = evaluation_map(M)
-            assert ev.is_injective() and ev.is_surjective(), (fname, i)
+            assert ev.rank() == ev.source.dim and ev.is_surjective(), (fname, i)
             assert matlis_dual(M).dim == M.dim, (fname, i)
         _report(1, "duality-involution-%s" % fname, time.time() - t0, 10)
 
@@ -88,7 +89,7 @@ def test_criterion_3_uniserial_exhaustive():
             x = A.var_elements[0]
             powers = [A.element_from_terms([(field.one, (0,))])]
             for _ in range(n):
-                powers.append(A.multiply(powers[-1], x))
+                powers.append(multiply(A, powers[-1], x))
             for j in range(n + 1):
                 I = ideal_from_generators(A, [powers[j]])
                 ctx = ClassContext(A, I)

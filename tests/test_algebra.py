@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import ideal_sum, is_associative, zero_ideal
+from reference import ideal_sum, is_associative, multiply, zero_ideal
 from matlislab.algebra import (
     Algebra,
     Presentation,
@@ -15,7 +15,7 @@ from matlislab.algebra import (
     minimal_generators,
     unit_ideal,
 )
-from matlislab.errors import BoundNotCertified, FixtureValidationError, MatlisLabError
+from matlislab.errors import BoundNotCertified, FixtureValidationError, MatlisLabError, NotLocal
 from matlislab.fields import PrimeField, QQ
 
 F = Fraction
@@ -54,8 +54,8 @@ def test_prime_field_algebra():
     R4 = _build(PrimeField(5), ["x"], [[(1, (4,))]], 4)
     assert R4.dim == 4
     x = R4.var_elements[0]
-    x2 = R4.multiply(x, x)
-    assert R4.multiply(x2, x2) == tuple([0] * 4)
+    x2 = multiply(R4, x, x)
+    assert multiply(R4, x2, x2) == tuple([0] * 4)
 
 
 def test_bound_not_certified():
@@ -66,9 +66,9 @@ def test_bound_not_certified():
 
 def test_multiplication_matches_table(R3):
     x = R3.var_elements[0]
-    x2 = R3.multiply(x, x)
+    x2 = multiply(R3, x, x)
     assert x2 == (F(0), F(0), F(1))
-    assert R3.multiply(x2, x) == (F(0), F(0), F(0))
+    assert multiply(R3, x2, x) == (F(0), F(0), F(0))
 
 
 def test_relation_with_lower_order_terms():
@@ -81,7 +81,7 @@ def test_annihilator_and_double_annihilator(R3):
     x = R3.var_elements[0]
     I = ideal_from_generators(R3, [x])
     ann = annihilator_of_ideal(I)
-    assert ann.dim == 1 and ann.contains(R3.multiply(x, x))
+    assert ann.dim == 1 and ann.contains(multiply(R3, x, x))
     bar = annihilator_of_ideal(ann)
     assert bar.basis_matrix == I.basis_matrix
 
@@ -90,7 +90,7 @@ def test_ideal_product_and_sum(KXY):
     x, y = KXY.var_elements
     m = ideal_from_generators(KXY, [x, y])
     m2 = ideal_product(m, m)
-    assert m2.dim == 1 and m2.contains(KXY.multiply(x, y))
+    assert m2.dim == 1 and m2.contains(multiply(KXY, x, y))
     assert ideal_sum(m2, m).basis_matrix == m.basis_matrix
 
 
@@ -98,7 +98,7 @@ def test_annihilator_of_max_ideal(KXY):
     x, y = KXY.var_elements
     m = ideal_from_generators(KXY, [x, y])
     ann = annihilator_of_ideal(m)
-    assert ann.dim == 1 and ann.contains(KXY.multiply(x, y))
+    assert ann.dim == 1 and ann.contains(multiply(KXY, x, y))
 
 
 def test_zero_and_unit_ideals(R3):
@@ -183,3 +183,19 @@ def test_certificate_rejects_every_non_associative_table(fixtures):
             elif "not the product of its variables" in error:
                 stricter += 1
     assert non_associative and stricter
+
+
+def test_validation_rejects_an_idempotent_variable():
+    # x*x = x: the table is associative, so only locality rejects it
+    A = Algebra(QQ, ["x"], 3, ((0,), (1,)), (((1, 0), (0, 1)), ((0, 1), (0, 1))), ((0, 1),))
+    with pytest.raises(NotLocal, match="basis element 1 is not nilpotent"):
+        _validate_algebra(A)
+
+
+def test_validation_rejects_a_bound_below_the_nilpotency(R3):
+    # Q[x]/(x^3) at bound 1: every basis element passes locality, but
+    # m^2 = (x^2) is not zero
+    A = Algebra(QQ, R3.variables, 1, R3.basis, R3.mult_table, R3.var_elements)
+    with pytest.raises(BoundNotCertified,
+                       match="maximal ideal not nilpotent at the certified bound"):
+        _validate_algebra(A)

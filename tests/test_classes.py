@@ -6,6 +6,7 @@ from reference import (
     embed_into_injective,
     image_in_quotient,
     lower_star,
+    multiply,
     upper_star,
     zero_ideal,
 )
@@ -188,7 +189,7 @@ def test_uniserial_s_all_quotients(r4):
         Q, _ = quotient_module(R, sub)
         s, g, k = uniserial_s(r4.ctx, Q)
         assert g == gamma(r4.ctx, Q) and k == kappa(r4.ctx, Q)
-        power = A.multiply(tuple(power), x)
+        power = multiply(A, tuple(power), x)
 
 
 def test_uniserial_duality_identities(r4):

@@ -53,15 +53,14 @@ def test_lcg_stream_is_pinned():
         assert rng.state == state
 
 
-@pytest.mark.parametrize("field, spread", [
-    (QQ, 1), (QQ, 2), (QQ, 3), (PrimeField(2), 2), (PrimeField(5), 2), (PrimeField(101), 2),
-])
-def test_fused_draw_matches_the_per_scalar_route(field, spread):
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5), PrimeField(101)],
+                         ids=lambda field: field.name)
+def test_fused_draw_matches_the_per_scalar_route(field):
     for seed in range(6):
         fused, single = Lcg(seed), Lcg(seed)
         for count, length in ((1, 7), (3, 4), (2, 0), (0, 5), (5, 20)):
-            got = _vectors(field, fused, count, length, spread)
-            want = [per_scalar_draws(field, single, length, spread) for _ in range(count)]
+            got = _vectors(field, fused, count, length)
+            want = [per_scalar_draws(field, single, length) for _ in range(count)]
             assert typed(got) == typed(want), (seed, count, length)
             assert fused.state == single.state
 
@@ -80,9 +79,9 @@ def test_random_ideal_and_submodule_match_the_per_scalar_route(name):
     fx = _f2_fixture() if name == "F2" else load(name)
     A = fx.algebra
     fused, single = Lcg(5), Lcg(5)
-    for allow_unit in (False, True, False, True):
-        got = random_ideal(A, fused, allow_unit=allow_unit)
-        want = ideal_from_generators(A, per_scalar_ideal_generators(A, single, allow_unit=allow_unit))
+    for _ in range(4):
+        got = random_ideal(A, fused)
+        want = ideal_from_generators(A, per_scalar_ideal_generators(A, single))
         assert typed(got.basis_matrix) == typed(want.basis_matrix)
         assert fused.state == single.state
     for M in (fx.module("regular"), fx.module("E"), fx.ctx.I_mod):
@@ -141,10 +140,10 @@ def test_repeated_value_within_a_suite_is_one_object(monkeypatch):
 # bases of one random_submodule of each, and of the next 50 random_ideal
 # draws: the report digests cannot see which values are drawn
 DRAW_PINS = {
-    "R3": ("e6cce0f458510008", "22152afd230a6aa0", "990acad90580230e"),
-    "R4": ("e6f45fdad2cc552f", "b5bc225473349502", "d5151a4a3ae94a83"),
-    "KXY": ("e168d27d8590b313", "a30c6a80f6fa5741", "2d378e71b8846749"),
-    "V2": ("150f864f79f58c1e", "143dc23e9cc97818", "44fd9117462979a2"),
+    "R3": ("e6cce0f458510008", "22152afd230a6aa0", "28c1bd0b9278bfe8"),
+    "R4": ("e6f45fdad2cc552f", "b5bc225473349502", "7d0d6f7e5af91b80"),
+    "KXY": ("e168d27d8590b313", "a30c6a80f6fa5741", "4b0d3b14476e828e"),
+    "V2": ("150f864f79f58c1e", "143dc23e9cc97818", "4f49282e4674f033"),
 }
 
 

@@ -1,4 +1,4 @@
-from reference import find_isomorphism
+from reference import find_isomorphism, multiply
 from matlislab.duality import (
     annihilator_in_dual,
     evaluation_map,
@@ -35,7 +35,7 @@ def test_evaluation_is_isomorphism(kxy):
     for _ in range(10):
         M = random_module(kxy.algebra, rng)
         ev = evaluation_map(M)
-        assert ev.is_injective() and ev.is_surjective()
+        assert ev.rank() == ev.source.dim and ev.is_surjective()
 
 
 def test_dual_swaps_socle_and_top(r3):
@@ -70,10 +70,10 @@ def test_find_isomorphism_regular_vs_shifted(r3):
     A = r3.algebra
     R = regular_module(A)
     x = A.var_elements[0]
-    Q1, _ = quotient_module(R, generated_submodule(R, [A.multiply(x, x)]))
-    Q2, _ = quotient_module(R, generated_submodule(R, [A.multiply(x, x)]))
+    Q1, _ = quotient_module(R, generated_submodule(R, [multiply(A, x, x)]))
+    Q2, _ = quotient_module(R, generated_submodule(R, [multiply(A, x, x)]))
     f = find_isomorphism(Q1, Q2)
-    assert f is not None and f.is_injective() and f.is_surjective()
+    assert f is not None and f.rank() == f.source.dim and f.is_surjective()
 
 
 def test_find_isomorphism_rejects_mismatch(r3):
@@ -87,4 +87,4 @@ def test_self_dual_regular_over_chain_ring(r3):
     R = regular_module(r3.algebra)
     E = injective_cogenerator(r3.algebra)
     f = find_isomorphism(R, E)
-    assert f is not None and f.is_injective() and f.is_surjective()
+    assert f is not None and f.rank() == f.source.dim and f.is_surjective()

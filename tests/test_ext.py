@@ -6,6 +6,8 @@ from reference import (
     extension_by_pushout,
     find_isomorphism,
     is_short_exact,
+    multiply,
+    per_scalar_ideal_generators,
     rescaled,
     zero_cocycle,
     zero_ideal,
@@ -13,7 +15,7 @@ from reference import (
 from matlislab import linalg
 from matlislab.classes import is_p_member, is_s_member
 from matlislab.duality import matlis_dual
-from matlislab.errors import CoverMismatch, DimensionMismatch, NotEquivariant
+from matlislab.errors import CoverMismatch, DimensionMismatch, MatlisLabError, NotEquivariant
 from matlislab.ext import (
     FreeCover,
     ext1,
@@ -21,7 +23,7 @@ from matlislab.ext import (
     free_cover,
     satz25_search,
 )
-from matlislab.algebra import unit_ideal
+from matlislab.algebra import ideal_from_generators, unit_ideal
 from matlislab.classes import ClassContext
 from matlislab.modules import (
     ModuleMap,
@@ -35,7 +37,7 @@ from matlislab.modules import (
     socle,
     zero_module,
 )
-from matlislab.randmod import Lcg, random_ideal, random_module
+from matlislab.randmod import Lcg, random_module
 
 
 def test_free_cover_minimal(r3):
@@ -47,6 +49,14 @@ def test_free_cover_minimal(r3):
     covk = free_cover(k)
     assert covk.free.dim == A.dim and covk.syzygy.dim == A.dim - 1
     assert radical(covk.free).contains_submodule(covk.syzygy)
+
+
+def test_free_cover_rejects_a_cover_that_is_not_minimal(kxy, monkeypatch):
+    # every unit vector kept as a generator: R^dim -> R has syzygies
+    # outside the radical of R^dim
+    monkeypatch.setattr(linalg, "extend_basis", lambda rows, cands, field: list(range(len(cands))))
+    with pytest.raises(MatlisLabError, match="free cover is not minimal"):
+        free_cover(regular_module(kxy.algebra))
 
 
 def test_ext_vanishes_for_free_source(r3):
@@ -91,7 +101,7 @@ def test_nonsplit_extension_of_tops(r3):
     A = r3.algebra
     R = regular_module(A)
     x = A.var_elements[0]
-    Q, _ = quotient_module(R, generated_submodule(R, [A.multiply(x, x)]))
+    Q, _ = quotient_module(R, generated_submodule(R, [multiply(A, x, x)]))
     k = residue_field_module(A)
     es = ext1(k, Q)
     assert es.dim >= 1
@@ -398,7 +408,7 @@ def test_search_witness_for_random_ideals(fixtures, extra_fixtures, name):
     rng = Lcg(99)
     seen = set()
     for _ in range(WITNESS_DRAWS[name]):
-        I = random_ideal(A, rng)
+        I = ideal_from_generators(A, per_scalar_ideal_generators(A, rng, unit=False))
         if I.dim == 0 or I.basis_matrix in seen:
             continue
         seen.add(I.basis_matrix)

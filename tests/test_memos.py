@@ -56,7 +56,7 @@ def _ideals(A):
              for i in range(1, A.dim)]
     ideals = [zero_ideal(A), A.max_ideal, unit_ideal(A)]
     ideals += [ideal_from_generators(A, [u]) for u in units]
-    ideals += [random_ideal(A, rng, allow_unit=True) for _ in range(6)]
+    ideals += [random_ideal(A, rng) for _ in range(6)]
     return ideals
 
 

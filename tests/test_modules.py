@@ -9,6 +9,7 @@ from reference import (
     image,
     is_essential,
     is_small,
+    multiply,
     per_scalar_element,
     rescaled,
     submodule_intersection,
@@ -104,7 +105,7 @@ def test_quotient_exactness(r3):
     A = r3.algebra
     R = regular_module(A)
     x = A.var_elements[0]
-    U = generated_submodule(R, [A.multiply(x, x)])
+    U = generated_submodule(R, [multiply(A, x, x)])
     Q, proj = quotient_module(R, U)
     assert Q.dim == 2
     assert proj.is_surjective()
@@ -124,7 +125,7 @@ def test_colon_submodule(r3):
     A = r3.algebra
     R = regular_module(A)
     x = A.var_elements[0]
-    U = generated_submodule(R, [A.multiply(x, x)])
+    U = generated_submodule(R, [multiply(A, x, x)])
     col = colon_submodule(U, r3.ideal, R)
     # (x^2 : x) = (x) in k[x]/(x^3)
     assert col.dim == 2
@@ -134,9 +135,9 @@ def test_ann_ring(r3):
     A = r3.algebra
     R = regular_module(A)
     x = A.var_elements[0]
-    Q, _ = quotient_module(R, generated_submodule(R, [A.multiply(x, x)]))
+    Q, _ = quotient_module(R, generated_submodule(R, [multiply(A, x, x)]))
     ann = ann_ring(Q)
-    assert ann.dim == 1 and ann.contains(A.multiply(x, x))
+    assert ann.dim == 1 and ann.contains(multiply(A, x, x))
 
 
 def test_hom_space_dimensions(r3):
@@ -256,7 +257,7 @@ def test_submodule_lattice_ops(kxy):
     s = submodule_sum(U, V)
     i = submodule_intersection(U, V)
     assert s.dim == 3 and i.dim == 1
-    assert i.contains(A.multiply(x, y))
+    assert i.contains(multiply(A, x, y))
 
 
 def test_submodule_as_module_inclusion(r3):
@@ -265,7 +266,7 @@ def test_submodule_as_module_inclusion(r3):
     U = generated_submodule(R, [A.var_elements[0]])
     Umod, incl = submodule_as_module(U)
     assert Umod.dim == 2
-    assert incl.is_injective()
+    assert incl.rank() == incl.source.dim
     assert image(incl).basis_matrix == U.basis_matrix
 
 
@@ -294,7 +295,7 @@ def test_submodule_as_module_matches_per_vector_images(fixtures, name):
 def test_cokernel_of_presentation(r3):
     A = r3.algebra
     x = A.var_elements[0]
-    x2 = A.multiply(x, x)
+    x2 = multiply(A, x, x)
     Q = cokernel_of_presentation(A, 1, [x2])
     assert Q.dim == 2
     assert _typed_actions(Q) == _typed_actions(cokernel_by_free_module(A, 1, [x2]))
@@ -447,7 +448,7 @@ def test_ideal_times_submodule_needs_one_pass(fixtures, name):
     fx = fixtures[name]
     A = fx.algebra
     rng = Lcg(13)
-    ideals = [fx.ideal, A.max_ideal] + [random_ideal(A, rng, allow_unit=True) for _ in range(3)]
+    ideals = [fx.ideal, A.max_ideal] + [random_ideal(A, rng) for _ in range(3)]
     for _ in range(4):
         M = random_module(A, rng)
         for U in (random_submodule(M, rng), M.zero_submodule(), M.full_submodule()):

@@ -16,6 +16,7 @@ import pytest
 from reference import (
     annihilator_by_actions,
     cokernel_by_free_module,
+    per_scalar_ideal_generators,
     rescaled,
     span_by_actions,
 )
@@ -29,7 +30,7 @@ from matlislab.modules import (
     regular_module,
     zero_module,
 )
-from matlislab.randmod import Lcg, random_ideal, random_module
+from matlislab.randmod import Lcg, random_module
 
 from conftest import load
 
@@ -133,7 +134,8 @@ def test_annihilators_match_the_per_action_route(name):
     A = fx.algebra
     rng = Lcg(24)
     ideals = [fx.ctx.I, A.max_ideal, unit_ideal(A), Ideal(A, (), ())]
-    ideals += [random_ideal(A, rng, allow_unit=k % 4 == 3) for k in range(8)]
+    ideals += [ideal_from_generators(A, per_scalar_ideal_generators(A, rng, unit=k % 4 == 3))
+               for k in range(8)]
     for I in ideals:
         got = annihilator_of_ideal(I)
         want = annihilator_by_actions(I)
