@@ -14,6 +14,15 @@ functions use them:
   products a_k . v of given vectors v, read off the
   :func:`stacked_columns` of the matrices a_k in one integer pass.
 
+Most rows of these systems are zero, and a zero row spans nothing, so
+it is dropped before any per-entry work is spent on it: over Q before
+:func:`_int_row` clears denominators (in :func:`rref`, :func:`nullspace`
+and :func:`kernel`), over F_p before the copy of the rows mod p that
+starts :func:`_rref_fp`.  The integer rows that :func:`span` builds over
+Q need no conversion and enter :func:`_rref_int` as they are.  A row of
+ints that is nonzero but vanishes mod p still enters the copy mod p and
+is eliminated there.
+
 Over Q the last two read their vectors off the integer echelon form and
 divide each nonzero entry by its pivot once, with :func:`_div`.  The
 product :func:`mat_mul`, and :func:`mat_vec` through it, also sums plain
@@ -35,14 +44,20 @@ def rref(rows, field):
     """Reduced row echelon form; returns (rows, pivots), zero rows dropped.
 
     Canonical: pivots are 1, pivot columns are cleared, pivot selection
-    scans columns left to right taking the topmost available row.
+    scans columns left to right taking the topmost available row.  Zero
+    rows leave first, before their entries are cleared of denominators
+    over Q or reduced mod p; a row of ints that vanishes only mod p is
+    dropped by the F_p kernel.
     """
     rows = list(rows)
     if not rows or not rows[0]:
         return (), ()
     if isinstance(field, PrimeField):
         return _echelon(rows, field.p)
-    return _echelon([_int_row(r)[0] for r in rows], 0)
+    rows = [_int_row(r)[0] for r in rows if any(r)]
+    if not rows:
+        return (), ()
+    return _echelon(rows, 0)
 
 
 def _echelon(rows, p):
@@ -104,9 +119,13 @@ def _rref_fp(rows, p):
 
     Entries may be any representatives mod p.  Returns ``(rows, pivots)``
     with zero rows dropped, pivot entries equal to 1 and entries in
-    ``range(p)``.
+    ``range(p)``; ``([], [])`` when every row is zero mod p.  Rows that
+    are zero as given are dropped before the copy mod p; rows that vanish
+    only mod p are copied and eliminated.
     """
-    m = [[v % p for v in row] for row in rows]
+    m = [[v % p for v in row] for row in rows if any(row)]
+    if not m:
+        return [], []
     nrows = len(m)
     ncols = len(m[0])
     pivots = []
@@ -366,13 +385,15 @@ def _null_basis(rows, field):
     """The null-space vectors (lists) of nonempty rows, and their free
     columns, read off the kernel's echelon form: over Q the elimination
     runs on integer rows and each nonzero entry is divided by its pivot
-    once.
+    once.  Zero rows are dropped before :func:`_int_row` over Q and by
+    :func:`_rref_fp` over F_p; when none is left, every column is free.
     """
     p = field.p if isinstance(field, PrimeField) else 0
     if p:
         red, pivots = _rref_fp(rows, p)
     else:
-        red, pivots = _rref_int([_int_row(r)[0] for r in rows])
+        ints = [_int_row(r)[0] for r in rows if any(r)]
+        red, pivots = _rref_int(ints) if ints else ([], [])
     n = len(rows[0])
     pivset = set(pivots)
     basis = []

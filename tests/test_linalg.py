@@ -155,7 +155,30 @@ def _rref_mod_p(rows, p):
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
-@pytest.mark.parametrize("shape", [(12, 17), (10, 14), (17, 6), (6, 6)])
+def _with_zero_rows(rows, field):
+    """``rows`` with zero rows at the top, in the middle and at the
+    bottom, and the zero matrix of its shape.  Over Q some zero rows are
+    written as ``Fraction(0)``; over F_p a multiple of p of the first row
+    is a row of nonzero ints that vanishes mod p."""
+    n = len(rows[0])
+    mid = len(rows) // 2
+    zero = (0,) * n
+    if field is QQ:
+        vanishing = (F(0),) * n
+    else:
+        vanishing = tuple(field.p * x for x in rows[0])
+    return [
+        (zero,) + rows,
+        rows[:mid] + (zero, vanishing) + rows[mid:],
+        rows + (vanishing, zero),
+        (vanishing,) + rows[:mid] + (zero,) + rows[mid:] + (vanishing,),
+        (zero,) * len(rows),
+    ]
+
+
+@pytest.mark.parametrize(
+    "shape", [(12, 17), (10, 14), (17, 6), (6, 6), (3, 1), (3, 2), (2, 3), (2, 4)]
+)
 def test_rref_random_rows_match_references(shape):
     nrows, ncols = shape
     for seed in range(1, 6):
@@ -165,6 +188,15 @@ def test_rref_random_rows_match_references(shape):
         assert linalg.rref(rows, QQ) == _rref_by_fractions(rows)
         for field in (F5, F101):
             assert linalg.rref(rows, field) == _rref_mod_p(rows, field.p)
+        # zero rows, as given or only mod p, change nothing
+        for case in _with_zero_rows(rows, QQ):
+            red, pivots = linalg.rref(case, QQ)
+            want_red, want_pivots = _rref_by_fractions(case)
+            _assert_same(red, want_red)
+            assert pivots == want_pivots
+        for field in (F5, F101):
+            for case in _with_zero_rows(rows, field):
+                assert linalg.rref(case, field) == _rref_mod_p(case, field.p)
 
 
 def _extend_basis_by_rank(rows, candidates, field):
@@ -370,6 +402,17 @@ def _kernel_cases(field):
         tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)),
         ((0, 3, 0, 1), (0, 0, 0, 2)),
     ]
+    cases += _with_zero_rows(cases[0], field)
+    if field is QQ:
+        cases.append(((F(0), F(0), F(0)), (1, F(1, 2), 0), (0, 0, 0)))
+    else:
+        vanishing = {5: (5, 10, -15), 101: (101, 0, -202)}[field.p]
+        cases += [(vanishing,), (vanishing, (1, 2, 3), vanishing)]
+    # the zero matrix of each width from 1 to 4: every column is free
+    for n in range(1, 5):
+        cases += [((0,) * n,), ((0,) * n,) * 3]
+        if field is QQ:
+            cases.append(((F(0),) * n,) * 2)
     return cases
 
 

@@ -20,6 +20,7 @@ from reference import (
     rescaled,
     span_by_actions,
 )
+from matlislab import linalg
 from matlislab.algebra import Ideal, annihilator_of_ideal, ideal_from_generators, unit_ideal
 from matlislab.errors import DimensionMismatch
 from matlislab.fields import PrimeField
@@ -28,6 +29,7 @@ from matlislab.modules import (
     direct_power,
     generated_submodule,
     regular_module,
+    socle,
     zero_module,
 )
 from matlislab.randmod import Lcg, random_module
@@ -75,6 +77,17 @@ def vectors(field, rng, count, length):
     return out
 
 
+def socle_vector(M):
+    """A vector v of the socle of M, scaled by an unreduced scalar, so
+    b_k . v = 0 for every k >= 1: all of its products but v itself are
+    zero rows."""
+    f = M.parent.field
+    c = f.p + 1 if isinstance(f, PrimeField) else Fraction(-3, 7)
+    v = tuple(c * x for x in socle(M).basis_matrix[-1])
+    assert not any(any(linalg.mat_vec(a, v, f)) for a in M.actions[1:])
+    return v
+
+
 def modules_of(fx):
     A = fx.algebra
     R = regular_module(A)
@@ -89,8 +102,10 @@ def test_ideals_match_the_per_action_route(name):
     A = load(name).algebra
     f = A.field
     rng = Lcg(21)
-    for count in (0, 1, 2, 3, 4):
-        gens = vectors(f, rng, count, A.dim)
+    soc = socle_vector(regular_module(A))
+    cases = [vectors(f, rng, count, A.dim) for count in (0, 1, 2, 3, 4)]
+    cases += [[soc], vectors(f, rng, 2, A.dim) + [soc]]
+    for gens in cases:
         got = ideal_from_generators(A, gens)
         want = Ideal(A, *span_by_actions(A.left_mult, gens, f))
         assert typed(got.basis_matrix) == typed(want.basis_matrix), gens
@@ -104,8 +119,10 @@ def test_generated_submodules_match_the_per_action_route(name):
     f = fx.algebra.field
     rng = Lcg(22)
     for M in modules_of(fx):
-        for count in (0, 1, 2, 3):
-            vecs = vectors(f, rng, count, M.dim)
+        cases = [vectors(f, rng, count, M.dim) for count in (0, 1, 2, 3)]
+        if M.dim:
+            cases += [[socle_vector(M)], vectors(f, rng, 1, M.dim) + [socle_vector(M)]]
+        for vecs in cases:
             got = generated_submodule(M, vecs)
             red, pivots = span_by_actions(M.actions, vecs, f)
             assert typed(got.basis_matrix) == typed(red), (M, vecs)
