@@ -27,7 +27,9 @@ Over Q the last two read their vectors off the integer echelon form and
 divide each nonzero entry by its pivot once, with :func:`_div`.  The
 product :func:`mat_mul`, and :func:`mat_vec` through it, also sums plain
 ints, reduced mod p once per entry over F_p and divided by the cleared
-denominators once per entry over Q.  Every Q result keeps the scalar
+denominators once per entry over Q.  A zero row of its left factor or a
+zero column of its right factor gives zero entries before any
+conversion or dot product.  Every Q result keeps the scalar
 contract of :mod:`matlislab.fields`: an int when integral, else a
 Fraction.
 """
@@ -432,35 +434,46 @@ def mat_mul(a, b, field):
 
 
 def _mat_mul_fp(a, b, p):
-    # sum plain ints and reduce once per entry
-    cols = tuple(zip(*b))
+    # sum plain ints and reduce once per entry; zero columns of b and
+    # zero rows of a give zero entries with no dot product
+    cols = [(j, col) for j, col in enumerate(zip(*b)) if any(col)]
+    zero_row = (0,) * len(b[0])
     out = []
     for row in a:
         terms = [(k, x) for k, x in enumerate(row) if x]
-        orow = []
-        for col in cols:
+        if not terms:
+            out.append(zero_row)
+            continue
+        orow = list(zero_row)
+        for j, col in cols:
             s = 0
             for k, x in terms:
                 s += x * col[k]
-            orow.append(s % p)
+            orow[j] = s % p
         out.append(tuple(orow))
     return tuple(out)
 
 
 def _mat_mul_q(a, b):
     # integer dot products of denominator-cleared rows of a and columns
-    # of b; one division per nonzero entry
-    cols = [_int_row(col) for col in zip(*b)]
+    # of b; one division per nonzero entry.  Zero columns of b and zero
+    # rows of a are neither cleared nor multiplied: their entries are 0
+    cols = [(j, *_int_row(col)) for j, col in enumerate(zip(*b)) if any(col)]
+    zero_row = (0,) * len(b[0])
     out = []
     for row in a:
+        if not any(row):
+            out.append(zero_row)
+            continue
         ints, da = _int_row(row)
         terms = [(k, x) for k, x in enumerate(ints) if x]
-        orow = []
-        for col, db in cols:
+        orow = list(zero_row)
+        for j, col, db in cols:
             s = 0
             for k, x in terms:
                 s += x * col[k]
-            orow.append(_div(s, da * db) if s else 0)
+            if s:
+                orow[j] = _div(s, da * db)
         out.append(tuple(orow))
     return tuple(out)
 

@@ -6,6 +6,14 @@ Failures are report content, not process errors, and always carry a
 replayable witness.  A drawn module is one object per value, with its
 memos, until the suite ends (see randmod).
 
+The random trials go through _trials, which checks each distinct draw
+once per suite: a trial that draws the same values as an earlier one
+reuses the verdict of its first occurrence, PASS or FAIL with its
+witness, under its own record name.  That is exact, as every verdict is
+a deterministic function of the drawn values: the key holds every value
+the verdict reads, and the memos behind it are keyed by value too.  The
+trial still draws, so the stream and every later draw are unchanged.
+
 Some records hold by construction, as is_p_member and is_s_member decide
 False from the Ann(I) bound: the second half of each lemma11 chain,
 satz22-forward and that direction of satz22-equivalence, and the satz25
@@ -67,24 +75,39 @@ def _rand_p_member(powers, rng):
     return Q
 
 
+def _trials(fx, name, count, draw, verdict):
+    """The records name % t for t < count, one per trial.
+
+    draw() draws a trial from the suite's stream and returns every value
+    that verdict reads, as a hashable tuple; verdict(*inputs) returns
+    (ok, witness) for check.  Each distinct draw is checked once per
+    call, and a repeated one reuses its verdict (see the module
+    docstring).
+    """
+    verdicts = {}
+    records = []
+    for t in range(count):
+        inputs = draw()
+        found = verdicts.get(inputs)
+        if found is None:
+            found = verdicts[inputs] = verdict(*inputs)
+        records.append(check(name % t, fx.name, *found))
+    return records
+
+
 def suite_lemma11(fx, trials, rng):
     ctx = fx.ctx
     A = fx.algebra
-    records = []
-    for t in range(trials):
-        M = random_module(A, rng)
+
+    def chain(M):
         im_full = ideal_times_module(ctx.I, M).dim == M.dim
         in_p = is_p_member(ctx, M)
         ann_kills = ideal_times_module(ctx.ann_i, M).dim == 0
         ok = (not im_full or in_p) and (not in_p or ann_kills)
-        records.append(
-            check(
-                "lemma11-chain-%03d" % t,
-                fx.name,
-                ok,
-                "dimM=%d IM=M:%s P:%s AnnI.M=0:%s" % (M.dim, im_full, in_p, ann_kills),
-            )
-        )
+        return ok, "dimM=%d IM=M:%s P:%s AnnI.M=0:%s" % (M.dim, im_full, in_p, ann_kills)
+
+    records = _trials(fx, "lemma11-chain-%03d", trials,
+                      lambda: (random_module(A, rng),), chain)
     E = injective_cogenerator(A)
     for j in (1, 2, 3):
         M, _ = direct_power(E, j)
@@ -111,33 +134,26 @@ def suite_satz22(fx, trials, rng):
     )
     if crit:
         powers = ctx.I_mod, direct_power(ctx.I_mod, 2)[0]
-        for t in range(trials):
+
+        def draw_submodule():
             M = _rand_p_member(powers, rng)
-            U = random_submodule(M, rng)
+            return M, random_submodule(M, rng)
+
+        def submodule(M, U):
             if U.dim == 0:
-                records.append(check("satz22-submodule-%03d" % t, fx.name, True))
-                continue
+                return True, "-"
             Umod, _ = submodule_as_module(U)
-            records.append(
-                check(
-                    "satz22-submodule-%03d" % t,
-                    fx.name,
-                    is_p_member(ctx, Umod),
-                    lambda: "submodule %s of P-member fails P" % format_submodule(U),
-                )
-            )
-        for t in range(trials):
-            M = random_module(A, rng)
+            return is_p_member(ctx, Umod), lambda: (
+                "submodule %s of P-member fails P" % format_submodule(U))
+
+        def equivalence(M):
             lhs = is_p_member(ctx, M)
             rhs = ideal_times_module(ctx.ann_i, M).dim == 0
-            records.append(
-                check(
-                    "satz22-equivalence-%03d" % t,
-                    fx.name,
-                    lhs == rhs,
-                    "dimM=%d P:%s AnnI.M=0:%s" % (M.dim, lhs, rhs),
-                )
-            )
+            return lhs == rhs, "dimM=%d P:%s AnnI.M=0:%s" % (M.dim, lhs, rhs)
+
+        records += _trials(fx, "satz22-submodule-%03d", trials, draw_submodule, submodule)
+        records += _trials(fx, "satz22-equivalence-%03d", trials,
+                           lambda: (random_module(A, rng),), equivalence)
     else:
         w = submodule_counterexample(ctx)
         ok = w is not None and w.verified()
@@ -162,18 +178,14 @@ def suite_satz22(fx, trials, rng):
                     "AnnI kills witness: %s, P: %s" % (ann_ok, w.submodule_is_p),
                 )
             )
-        for t in range(trials):
-            M = random_module(A, rng)
+
+        def forward(M):
             in_p = is_p_member(ctx, M)
             ann_kills = ideal_times_module(ctx.ann_i, M).dim == 0
-            records.append(
-                check(
-                    "satz22-forward-%03d" % t,
-                    fx.name,
-                    not in_p or ann_kills,
-                    "dimM=%d" % M.dim,
-                )
-            )
+            return not in_p or ann_kills, "dimM=%d" % M.dim
+
+        records += _trials(fx, "satz22-forward-%03d", trials,
+                           lambda: (random_module(A, rng),), forward)
     return records
 
 
@@ -205,11 +217,13 @@ def suite_satz25(fx, trials, rng):
 
 def suite_satz31(fx, trials, rng):
     A = fx.algebra
-    records = []
-    for t in range(trials):
+
+    def draw():
         I = random_ideal(A, rng)
+        return I, random_module(A, rng)
+
+    def verdict(I, M):
         ctx = class_context(A, I)
-        M = random_module(A, rng)
         g_fast = gamma(ctx, M, shortcut=True)
         g = gamma(ctx, M, shortcut=False)
         k_fast = kappa(ctx, M, shortcut=True)
@@ -231,16 +245,10 @@ def suite_satz31(fx, trials, rng):
             # small: the reject lands in m.M + Ann(I).M
             and submodule_sum(radical(M), lower_k).contains_submodule(k)
         )
-        records.append(
-            check(
-                "satz31-%03d" % t,
-                fx.name,
-                ok,
-                lambda: "I=%s dimM=%d gamma=%s kappa=%s"
-                % (format_ideal(I), M.dim, format_submodule(g), format_submodule(k)),
-            )
-        )
-    return records
+        return ok, lambda: "I=%s dimM=%d gamma=%s kappa=%s" % (
+            format_ideal(I), M.dim, format_submodule(g), format_submodule(k))
+
+    return _trials(fx, "satz31-%03d", trials, draw, verdict)
 
 
 def suite_folg32(fx, trials, rng):
@@ -282,10 +290,8 @@ def suite_folg33(fx, trials, rng):
     A = fx.algebra
     E = injective_cogenerator(A)
     R = regular_module(A)
-    records = []
-    n_ideals = max(3, min(trials, 8))
-    for t in range(n_ideals):
-        J = random_ideal(A, rng)
+
+    def verdict(J):
         I2 = annihilator_of_ideal(J)
         ctx = class_context(A, I2)
         closed = ctx.bar_i == I2
@@ -297,15 +303,10 @@ def suite_folg33(fx, trials, rng):
             MR, _ = direct_power(R, j)
             if is_s_member(ctx, MR):
                 oks.append(is_p_member(ctx, MR))
-        records.append(
-            check(
-                "folg33-%02d" % t,
-                fx.name,
-                all(oks),
-                lambda: "I=%s annihilator-closed=%s" % (format_ideal(I2), closed),
-            )
-        )
-    return records
+        return all(oks), lambda: "I=%s annihilator-closed=%s" % (format_ideal(I2), closed)
+
+    return _trials(fx, "folg33-%02d", max(3, min(trials, 8)),
+                   lambda: (random_ideal(A, rng),), verdict)
 
 
 def _uniserial_pool(fx):
@@ -373,30 +374,27 @@ def suite_folg36(fx, trials, rng):
 def suite_duality(fx, trials, rng):
     ctx = fx.ctx
     A = fx.algebra
-    records = []
-    for t in range(trials):
+
+    def draw():
+        # duality_transfer draws nothing, so both submodules are drawn first
         M = random_module(A, rng)
+        return M, random_submodule(M, rng), random_submodule(M, rng)
+
+    def verdict(M, U, U2):
         Md = matlis_dual(M)
         ta, tb = duality_transfer(ctx, M)
-        U = random_submodule(M, rng)
         D1 = annihilator_in_dual(M, U)
         comp_ok = D1.dim == M.dim - U.dim
-        V = submodule_sum(U, random_submodule(M, rng))
-        rev_ok = D1.contains_submodule(annihilator_in_dual(M, V))
+        rev_ok = D1.contains_submodule(annihilator_in_dual(M, submodule_sum(U, U2)))
         # exact double-annihilator identity: in dual-basis coordinates
         # M°° is M, so the annihilator of D1 in M°° is U itself
         D2 = annihilator_in_dual(Md, D1)
         galois_ok = D2.basis_matrix == U.basis_matrix
         ok = ta and tb and comp_ok and rev_ok and galois_ok
-        records.append(
-            check(
-                "duality-%03d" % t,
-                fx.name,
-                ok,
-                "dimM=%d transfer=(%s,%s) complement=%s reversal=%s galois=%s"
-                % (M.dim, ta, tb, comp_ok, rev_ok, galois_ok),
-            )
-        )
+        return ok, "dimM=%d transfer=(%s,%s) complement=%s reversal=%s galois=%s" % (
+            M.dim, ta, tb, comp_ok, rev_ok, galois_ok)
+
+    records = _trials(fx, "duality-%03d", trials, draw, verdict)
     E = injective_cogenerator(A)
     records.append(
         check(
@@ -411,28 +409,28 @@ def suite_duality(fx, trials, rng):
 
 def suite_closure(fx, trials, rng):
     ctx = fx.ctx
-    records = []
     powers = ctx.I_mod, direct_power(ctx.I_mod, 2)[0]
-    for t in range(trials):
+
+    def draw():
         M = _rand_p_member(powers, rng)
         N = _rand_p_member(powers, rng)
         S, _, _ = direct_sum(M, N)
+        # U fixes S as its ambient, but M (+) N alone does not fix the
+        # split into M and N that the summand check reads
+        return M, N, random_submodule(S, rng)
+
+    def verdict(M, N, U):
+        S = U.ambient
         sum_ok = is_p_member(ctx, S)
-        U = random_submodule(S, rng)
         Q, _ = quotient_module(S, U)
         quot_ok = is_p_member(ctx, Q)
         summand_ok = True
         if sum_ok:
             summand_ok = is_p_member(ctx, M) and is_p_member(ctx, N)
         ok = sum_ok and quot_ok and summand_ok
-        records.append(
-            check(
-                "closure-%03d" % t,
-                fx.name,
-                ok,
-                "sum=%s quotient=%s summand=%s" % (sum_ok, quot_ok, summand_ok),
-            )
-        )
+        return ok, "sum=%s quotient=%s summand=%s" % (sum_ok, quot_ok, summand_ok)
+
+    records = _trials(fx, "closure-%03d", trials, draw, verdict)
     # degenerate identity: I = R acting on the zero module
     ctx_r = class_context(fx.algebra, unit_ideal(fx.algebra))
     Z = zero_module(fx.algebra)

@@ -47,6 +47,8 @@
 - A search for module isomorphisms.  It is randomized over Q and large
   F_p, so it certifies an isomorphism when it finds one but proves
   nothing when it does not.
+- The trial loop of a suite that checks every trial.  The library checks
+  each distinct draw once per suite and reuses its verdict.
 """
 
 from matlislab import linalg
@@ -76,6 +78,12 @@ from matlislab.modules import (
     submodule_from_spanning,
 )
 from matlislab.randmod import Lcg
+from matlislab.report import check
+
+
+def every_trial(fx, name, count, draw, verdict):
+    """suites._trials without its verdicts: each trial's draw is checked."""
+    return [check(name % t, fx.name, *verdict(*draw())) for t in range(count)]
 
 
 class NotInjectiveAmbient(MatlisLabError):

@@ -346,6 +346,17 @@ def _product_cases(field):
             a = tuple(tuple(x % field.p for x in r) for r in a)
             b = tuple(tuple(x % field.p for x in r) for r in b)
         cases.append((a, b))
+    # zero rows of a and zero columns of b, Fraction(0) among them over Q
+    a, b = cases[0]
+    n = len(b[0])
+    zero = F(0) if field is QQ else 0
+    cases += [
+        (tuple(r if i % 2 else (zero,) * len(r) for i, r in enumerate(a)), b),
+        (a, tuple(r[:1] + (zero,) + r[2:] for r in b)),
+        (a, tuple(r[:3] + (0,) * (n - 3) for r in b)),
+        (a, ((0,) * n,) * len(b)),  # all of b zero
+        (((zero,) * len(b),) * 2, b),  # all of a zero
+    ]
     cases += [((), ()), (((), ()), ()), (((1, 2),), ((), ())), ((), ((1, 2),))]
     return cases
 
@@ -363,6 +374,7 @@ def test_mat_vec_matches_reference(field):
         n = len(a[0]) if a else 0
         vecs = [tuple(r[0] for r in b) if b and b[0] else (field.zero,) * n]
         vecs.append((field.zero,) * n)
+        vecs.append((F(0),) * n if field is QQ else (0,) * n)
         for k in range(n):
             unit = tuple(one if j == k else field.zero for j in range(n))
             vecs.append(unit)

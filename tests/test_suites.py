@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -14,6 +15,7 @@ from matlislab.report import CheckRecord, Report, check
 from matlislab.suites import SUITES, run_suite
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, load
+from reference import every_trial
 
 SUITE_NAMES = sorted(SUITES)
 
@@ -324,3 +326,64 @@ def test_suites_catch_injected_fault(monkeypatch, fault):
             if rec.status == "FAIL":
                 caught.setdefault(rec.name.split("-")[0], set()).add(name)
     assert caught == {suite: set(names) for suite, names in catching.items()}
+
+
+@pytest.mark.parametrize("fault", [None] + sorted(FAULTS))
+def test_reused_verdicts_match_every_trial_checked(monkeypatch, fault):
+    """A PASS record renders no witness, so the report digests cannot see
+    a verdict reused for the wrong draw: compare every record, FAIL
+    witnesses included, with a loop that checks each trial, with and
+    without each fault."""
+    if fault is not None:
+        _patch_every_binding(monkeypatch, *FAULTS[fault][:3])
+    for name in ALL:
+        for seed in (1, 2, 3):
+            got = [r.render() for r in run_suite(load(name), "all", trials=20, seed=seed).records]
+            with monkeypatch.context() as m:
+                m.setattr(suites, "_trials", every_trial)
+                want = [r.render() for r in run_suite(load(name), "all", trials=20, seed=seed).records]
+            assert got == want
+
+
+# verdicts computed / trials drawn per fixture and trial loop, at each
+# fixture's own seed and the default trial counts
+VERDICTS = {
+    "R3": {"lemma11-chain": (20, 200), "satz22-submodule": (12, 100),
+           "satz22-equivalence": (14, 100), "satz31": (32, 200), "folg33": (1, 5),
+           "duality": (49, 100), "closure": (30, 100)},
+    "R4": {"lemma11-chain": (29, 200), "satz22-submodule": (10, 100),
+           "satz22-equivalence": (15, 100), "satz31": (32, 200), "folg33": (2, 5),
+           "duality": (51, 100), "closure": (24, 100)},
+    "KXY": {"lemma11-chain": (61, 200), "satz22-forward": (38, 100),
+            "satz31": (82, 200), "folg33": (1, 5), "duality": (67, 100),
+            "closure": (69, 100)},
+    "V2": {"lemma11-chain": (77, 200), "satz22-submodule": (32, 100),
+           "satz22-equivalence": (40, 100), "satz31": (89, 200), "folg33": (2, 5),
+           "duality": (61, 100), "closure": (84, 100)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_each_distinct_draw_is_checked_once_per_suite(monkeypatch, name):
+    trial_loop = suites._trials
+
+    def counting(fx, record, count, draw, verdict):
+        loop = record.split("-%")[0]
+        drawn[loop] += count
+
+        def counted(*inputs):
+            computed[loop] += 1
+            return verdict(*inputs)
+
+        return trial_loop(fx, record, count, draw, counted)
+
+    monkeypatch.setattr(suites, "_trials", counting)
+    fx = load(name)
+    runs = []
+    for _ in range(2):
+        # the verdicts of one suite do not outlive it: a second run on the
+        # same fixture checks every distinct draw again
+        drawn, computed = collections.Counter(), collections.Counter()
+        run_suite(fx, "all")
+        runs.append({loop: (computed[loop], drawn[loop]) for loop in drawn})
+    assert runs == [VERDICTS[name]] * 2
