@@ -110,7 +110,8 @@ class Algebra:
         self._generators_memo = {}
         self._context_memo = {}  # filled by classes.class_context
         # per distinct module its memo (modules._by_ideal_value), and each
-        # drawn module itself (randmod); emptied by suites.run_suite
+        # drawn module and each module the suites build from drawn ones
+        # (randmod.kept_module); emptied by suites.run_suite
         self._module_memo = {}
 
     def element_from_terms(self, terms):
@@ -382,11 +383,20 @@ def unit_ideal(A):
 def ideal_from_generators(A, gens):
     """Smallest ideal containing the given elements, canonical basis.
 
-    The span of {b_i * g} over all basis elements b_i already equals the
-    ideal R*gens, so one linalg.span of the stacked left multiplications
-    suffices.  Raises DimensionMismatch for a generator whose length is
-    not dim(R).
+    A generator whose constant coordinate is nonzero (mod p over F_p) is
+    a unit, since b_0 = 1 and R is local (both certified by
+    _validate_algebra), so the ideal is R, whose echelon basis is the
+    identity.  Otherwise the span of {b_i * g} over all basis elements
+    b_i already equals the ideal R*gens, so one linalg.span of the
+    stacked left multiplications suffices.  Raises DimensionMismatch for
+    a generator whose length is not dim(R), units or not.
     """
+    for g in gens:
+        if len(g) != A.dim:
+            raise DimensionMismatch("vector of length %d, need %d" % (len(g), A.dim))
+    p = A.field.char
+    if any(g[0] % p if p else g[0] for g in gens):
+        return unit_ideal(A)
     return Ideal(A, *linalg.span(A.left_cols, gens, A.field))
 
 

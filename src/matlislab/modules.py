@@ -370,18 +370,25 @@ def quotient_module(M, U):
     """M/U with the canonical projection.
 
     Quotient coordinates are the non-pivot columns of U's echelon basis.
+    Lifting quotient coordinate a to the unit vector at free[a] picks out
+    the free columns of each action, so action i of M/U is proj times
+    the free columns of action i.  All of them are one linalg.mat_mul, of
+    proj with those column blocks side by side, cut back into blocks:
+    each entry is still one dot product, and proj is cleared of
+    denominators once.
     """
     if U.ambient != M:
         raise NotASubmodule("quotient by a non-submodule")
     f = M.parent.field
     free, proj = _projection(U.basis_matrix, U.pivots, M.dim, f)
-    # lifting quotient coordinate a to the unit vector at free[a] picks
-    # out the free columns of each action
-    actions = []
-    for act in M.actions:
-        lifted = tuple(tuple(row[j] for j in free) for row in act)
-        actions.append(linalg.mat_mul(proj, lifted, f))
-    Q = FModule(M.parent, actions)
+    k = len(free)
+    lifted = tuple(
+        tuple(act[r][j] for act in M.actions for j in free) for r in range(M.dim)
+    )
+    prod = linalg.mat_mul(proj, lifted, f)
+    Q = FModule(M.parent, [
+        tuple(row[i * k:(i + 1) * k] for row in prod) for i in range(M.parent.dim)
+    ])
     return Q, ModuleMap(M, Q, proj, check=False)
 
 
@@ -480,15 +487,17 @@ def submodule_as_module(U):
 
     Coordinates are read off the pivot columns of the echelon basis, so
     each action is the pivot rows of the ambient action times the
-    inclusion.
+    inclusion.  All of them are one linalg.mat_mul, of the pivot rows of
+    every action stacked on top of each other with the inclusion, cut
+    back into blocks: each entry is still one dot product, and the
+    inclusion is cleared of denominators once.
     """
     M = U.ambient
     f = M.parent.field
+    k = U.dim
     incl = linalg.transpose(U.basis_matrix)  # M.dim x U.dim
-    actions = [
-        linalg.mat_mul(tuple(act[p] for p in U.pivots), incl, f) for act in M.actions
-    ]
-    Umod = FModule(M.parent, actions)
+    prod = linalg.mat_mul(tuple(act[p] for act in M.actions for p in U.pivots), incl, f)
+    Umod = FModule(M.parent, [prod[i * k:(i + 1) * k] for i in range(M.parent.dim)])
     return Umod, ModuleMap(Umod, M, incl, check=False)
 
 

@@ -6,9 +6,11 @@ MMIX constants (multiplier 6364136223846793005, increment
 identical fixtures across runs and implementations.  Values are drawn
 from the high 32 bits.
 
-A drawn module is one object per value, with its memos: random_module
+A drawn module is one object per value, with its memos: kept_module
 keeps it in the algebra's _module_memo until suites.run_suite ends the
-suite, or for the algebra's lifetime outside a suite.
+suite, or for the algebra's lifetime outside a suite.  random_module
+keeps each cokernel there, and the suites keep the quotients and direct
+sums that they build from drawn values.
 """
 
 from . import linalg
@@ -50,6 +52,17 @@ def _vectors(field, rng, count, length):
     return [flat[i * length:(i + 1) * length] for i in range(count)]
 
 
+def kept_module(A, key, build):
+    """The module under key in A's _module_memo, built by build() and
+    kept there on a miss.  Every key starts with a str naming the
+    construction, so it never equals the actions key of a module's own
+    memo (see modules._by_ideal_value)."""
+    M = A._module_memo.get(key)
+    if M is None:
+        M = A._module_memo[key] = build()
+    return M
+
+
 def random_ideal(A, rng):
     """The ideal of one or two random elements, units allowed."""
     return ideal_from_generators(A, _vectors(A.field, rng, 1 + rng.randint(2), A.dim))
@@ -68,11 +81,8 @@ def random_module(A, rng):
     for c in cols:
         c[::A.dim] = [A.field.zero] * t
     red, pivots = linalg.span(A.left_cols, cols, A.field, t)
-    key = ("cokernel", t, red)  # an actions key never starts with a str
-    M = A._module_memo.get(key)
-    if M is None:
-        M = A._module_memo[key] = _cokernel_of_echelon(A, t, red, pivots)
-    return M
+    return kept_module(A, ("cokernel", t, red),
+                       lambda: _cokernel_of_echelon(A, t, red, pivots))
 
 
 def random_submodule(M, rng):

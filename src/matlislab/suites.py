@@ -4,7 +4,11 @@ Each suite runs a batch of structural checks with a seeded generator and
 returns a deterministic Report: same (fixture, seed, flags), same bytes.
 Failures are report content, not process errors, and always carry a
 replayable witness.  A drawn module is one object per value, with its
-memos, until the suite ends (see randmod).
+memos, until the suite ends (see randmod): the cokernels that
+random_module draws, the quotients of _rand_p_member, keyed by the
+drawn submodule, and the direct sums of the closure draw, keyed by
+their two summands.  A repeated draw returns that object, with the
+columns that random_submodule spans and the memos of its submodules.
 
 The random trials go through _trials, which checks each distinct draw
 once per suite: a trial that draws the same values as an earlier one
@@ -63,16 +67,16 @@ from .modules import (
     uniserial_chain,
     zero_module,
 )
-from .randmod import Lcg, random_ideal, random_module, random_submodule
+from .randmod import Lcg, kept_module, random_ideal, random_module, random_submodule
 from .report import FAIL, PASS, CheckRecord, Report, check
 
 
 def _rand_p_member(powers, rng):
-    """A quotient of I or I^2 (powers): I-generated by construction."""
+    """A quotient of I or I^2 (powers): I-generated by construction.
+    Built once per value of U in a suite (see randmod.kept_module)."""
     Ij = powers[rng.randint(2)]
     U = random_submodule(Ij, rng)
-    Q, _ = quotient_module(Ij, U)
-    return Q
+    return kept_module(Ij.parent, ("quotient", U), lambda: quotient_module(Ij, U)[0])
 
 
 def _trials(fx, name, count, draw, verdict):
@@ -414,7 +418,7 @@ def suite_closure(fx, trials, rng):
     def draw():
         M = _rand_p_member(powers, rng)
         N = _rand_p_member(powers, rng)
-        S, _, _ = direct_sum(M, N)
+        S = kept_module(M.parent, ("sum", M, N), lambda: direct_sum(M, N)[0])
         # U fixes S as its ambient, but M (+) N alone does not fix the
         # split into M and N that the summand check reads
         return M, N, random_submodule(S, rng)

@@ -12,6 +12,10 @@
   ideal R*(gens), the submodule R*(vectors), and the equations r*g = 0
   of an annihilator.  The library reads every product a . v off the
   stacked integer columns of the actions in one pass (linalg.span).
+- The actions of a quotient module M/U and of a submodule U as a module
+  of its own by one mat_mul per action.  The library makes one product
+  for all actions: the free column blocks side by side, or the pivot
+  rows stacked.
 - The cokernel R^t/(columns) by the free module: the block-diagonal
   R^t, the span of its columns by the route above, and the quotient by
   it.  The library reads the cokernel off the multiplication table.
@@ -66,6 +70,7 @@ from matlislab.modules import (
     FModule,
     ModuleMap,
     Submodule,
+    _projection,
     direct_power,
     direct_sum,
     hom_space,
@@ -116,6 +121,28 @@ def cokernel_by_free_module(A, rank, columns):
     free, _ = direct_power(regular_module(A), rank)
     sub = Submodule(free, *span_by_actions(free.actions, columns, A.field))
     return quotient_module(free, sub)[0]
+
+
+def quotient_by_actions(M, U):
+    """The actions of M/U, one mat_mul of the projection per action of M:
+    proj times the free columns of the action."""
+    f = M.parent.field
+    free, proj = _projection(U.basis_matrix, U.pivots, M.dim, f)
+    return tuple(
+        linalg.mat_mul(proj, tuple(tuple(row[j] for j in free) for row in act), f)
+        for act in M.actions
+    )
+
+
+def submodule_actions_by_actions(U):
+    """The actions of U as a module of its own, one mat_mul per action of
+    the ambient: its pivot rows times the inclusion."""
+    M = U.ambient
+    f = M.parent.field
+    incl = linalg.transpose(U.basis_matrix)
+    return tuple(
+        linalg.mat_mul(tuple(act[p] for p in U.pivots), incl, f) for act in M.actions
+    )
 
 
 def per_scalar_draws(field, rng, count):

@@ -2,12 +2,15 @@
 
 randmod draws each vector of scalars in one loop and keeps each drawn
 module once per value, in the algebra's _module_memo, until run_suite
-ends the suite.  These tests hold the draws to the per-scalar route of
-tests/reference.py bit for bit, the interned modules to an uncached
-cokernel, the drawn values of each shipped fixture and the two
-verify-dim10 digests to their pinned values.
+ends the suite; the suites keep the quotients and direct sums that they
+build from drawn values there too.  These tests hold the draws to the
+per-scalar route of tests/reference.py bit for bit, the interned modules
+to an uncached cokernel, the builds of the closure and satz22 draws to
+one per drawn value, and the drawn values of each shipped fixture and the
+two verify-dim10 digests to their pinned values.
 """
 
+import collections
 import hashlib
 
 import pytest
@@ -133,6 +136,65 @@ def test_repeated_value_within_a_suite_is_one_object(monkeypatch):
     assert fx.algebra._module_memo == {}
     rng = Lcg((fx.seed << 8) + 0)
     assert random_module(fx.algebra, rng) is not drawn[0]
+
+
+@pytest.mark.parametrize("suite", ["closure", "satz22"])
+def test_drawn_quotients_and_sums_are_built_once_per_value(monkeypatch, suite):
+    """The draws of a suite build the quotient of I or I^j by a drawn
+    submodule U once per value of U, and closure builds the direct sum of
+    its drawn M and N once per value of (M, N): a repeated draw returns
+    the same object, and nothing is kept after the suite."""
+    drawing, builds, kept = [], collections.Counter(), []
+
+    def counted(name):
+        original = getattr(suites, name)
+
+        def wrapper(*args):
+            builds[name] += bool(drawing)
+            return original(*args)
+
+        monkeypatch.setattr(suites, name, wrapper)
+
+    counted("quotient_module")
+    counted("direct_sum")
+    keep = suites.kept_module
+
+    def recording_keep(A, key, build):
+        kept.append((key, keep(A, key, build)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(suites, "kept_module", recording_keep)
+    trial_loop = suites._trials
+
+    def marking_trials(fx, record, count, draw, verdict):
+        def marked_draw():
+            drawing.append(record)
+            try:
+                return draw()
+            finally:
+                drawing.pop()
+
+        return trial_loop(fx, record, count, marked_draw, verdict)
+
+    monkeypatch.setattr(suites, "_trials", marking_trials)
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        builds.clear()
+        kept.clear()
+        run_suite(fx, suite)
+        by_key = {}
+        for key, M in kept:
+            assert by_key.setdefault(key, M) is M
+        distinct = collections.Counter(key[0] for key in by_key)
+        assert builds["quotient_module"] <= distinct["quotient"]
+        assert builds["direct_sum"] <= distinct["sum"]
+        assert fx.algebra._module_memo == {}
+        # the satz22 draws of KXY, whose ideal fails the epi criterion,
+        # are random_module's; every other run repeats some draw
+        if not (suite == "satz22" and name == "KXY"):
+            assert builds["quotient_module"] < sum(key[0] == "quotient" for key, _ in kept)
+        if suite == "closure":
+            assert 0 < builds["direct_sum"] < sum(key[0] == "sum" for key, _ in kept)
 
 
 # sha256 prefixes of the reprs (scalar types included) of the actions of

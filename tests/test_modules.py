@@ -11,7 +11,9 @@ from reference import (
     is_small,
     multiply,
     per_scalar_element,
+    quotient_by_actions,
     rescaled,
+    submodule_actions_by_actions,
     submodule_intersection,
 )
 from matlislab import linalg
@@ -46,6 +48,8 @@ from matlislab.modules import (
     uniserial_chain,
     zero_module,
 )
+
+from conftest import load
 
 F = Fraction
 
@@ -270,26 +274,46 @@ def test_submodule_as_module_inclusion(r3):
     assert image(incl).basis_matrix == U.basis_matrix
 
 
-@pytest.mark.parametrize("name", ["R3", "R4", "KXY", "V2"])
-def test_submodule_as_module_matches_per_vector_images(fixtures, name):
-    """Each action is read off the pivot entries of the images of U's
-    basis vectors, with the same entry types."""
-    fx = fixtures[name]
+# the shipped fixtures, the dim-10 algebra over Q and F_101, and a
+# non-monomial Q algebra with Fraction structure constants
+CONSTRUCTION_CASES = ["R3", "R4", "KXY", "V2", "dim10-Q", "dim10-F101", "QXY-sums"]
+
+
+def _typed(x):
+    """x with every scalar paired with its type."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_typed(y) for y in x)
+    return (type(x), x)
+
+
+def _construction_modules(fx, rng):
+    """The fixture's modules, two drawn ones, rescaled copies with
+    denominators over Q, and the zero module."""
     A = fx.algebra
-    f = A.field
-    rng = Lcg(29)
     mods = [fx.module(m) for m in sorted(fx.modules)]
     mods += [random_module(A, rng) for _ in range(2)]
-    mods.append(rescaled(mods[-1]))
-    for M in mods:
+    mods += [rescaled(mods[-1]), rescaled(fx.ctx.I_mod), zero_module(A)]
+    return mods
+
+
+@pytest.mark.parametrize("name", CONSTRUCTION_CASES)
+def test_submodule_as_module_matches_per_vector_images(name):
+    """Each action is read off the pivot entries of the images of U's
+    basis vectors, and equals the per-action product of its pivot rows
+    with the inclusion, with the same entry types."""
+    fx = load(name)
+    f = fx.algebra.field
+    rng = Lcg(29)
+    for M in _construction_modules(fx, rng):
         for U in (random_submodule(M, rng), radical(M), M.zero_submodule(), M.full_submodule()):
-            Umod, _ = submodule_as_module(U)
+            Umod, incl = submodule_as_module(U)
             assert Umod.dim == U.dim
+            assert incl.matrix == linalg.transpose(U.basis_matrix)
+            assert _typed(Umod.actions) == _typed(submodule_actions_by_actions(U))
             for act, got in zip(M.actions, Umod.actions):
                 images = [linalg.mat_vec(act, b, f) for b in U.basis_matrix]
                 want = tuple(tuple(img[p] for img in images) for p in U.pivots)
-                assert got == want
-                assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
+                assert _typed(got) == _typed(want)
 
 
 def test_cokernel_of_presentation(r3):
@@ -367,23 +391,22 @@ def _quotient_by_sections(M, U):
     return actions, proj
 
 
-@pytest.mark.parametrize("name", ["KXY", "V2", "R4"])
-def test_quotient_actions_match_section_formula(fixtures, name):
-    A = fixtures[name].algebra
+@pytest.mark.parametrize("name", CONSTRUCTION_CASES)
+def test_quotient_actions_match_section_formula(name):
+    """The one-product quotient equals the section formula and the
+    per-action products, with the same entry types, also for U = 0,
+    U = M and M = 0."""
+    fx = load(name)
     rng = Lcg(7)
-    for _ in range(6):
-        M = random_module(A, rng)
+    mods = [random_module(fx.algebra, rng) for _ in range(6)]
+    for M in mods + _construction_modules(fx, rng):
         for U in (random_submodule(M, rng), M.zero_submodule(), M.full_submodule()):
             Q, proj = quotient_module(M, U)
             actions, proj_ref = _quotient_by_sections(M, U)
-            assert Q.actions == actions
-            assert proj.matrix == proj_ref
-            assert [type(x) for a in Q.actions for r in a for x in r] == [
-                type(x) for a in actions for r in a for x in r
-            ]
-            assert [type(x) for r in proj.matrix for x in r] == [
-                type(x) for r in proj_ref for x in r
-            ]
+            assert Q.dim == M.dim - U.dim
+            assert _typed(Q.actions) == _typed(actions)
+            assert _typed(Q.actions) == _typed(quotient_by_actions(M, U))
+            assert _typed(proj.matrix) == _typed(proj_ref)
 
 
 def _hom_basis_by_fractions(M, N):

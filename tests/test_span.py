@@ -160,10 +160,41 @@ def test_annihilators_match_the_per_action_route(name):
         assert_contract(got.basis_matrix, A.field)
 
 
+@pytest.mark.parametrize("name", SPAN_CASES)
+def test_unit_generators_give_the_unit_ideal(name):
+    """A generator whose constant coordinate is 1, -1, p+1 or 1/3 is a
+    unit, also among non-units: the ideal is unit_ideal(A) and equals
+    the span route.  A constant of p over F_p is zero, so such a
+    generator is a non-unit, and the span route decides."""
+    A = load(name).algebra
+    f = A.field
+    rng = Lcg(25)
+    p = f.char
+    constants = [1, -1] + ([p + 1] if p else [Fraction(1, 3)])
+    non_units = [(0,) + v[1:] for v in vectors(f, rng, 3, A.dim)]
+    whole = unit_ideal(A)
+    for c in constants:
+        unit = (c,) + vectors(f, rng, 1, A.dim)[0][1:]
+        for gens in ([unit], non_units[:1] + [unit], non_units + [unit, unit]):
+            got = ideal_from_generators(A, gens)
+            want = Ideal(A, *span_by_actions(A.left_mult, gens, f))
+            assert got.is_whole_ring()
+            assert typed(got.basis_matrix) == typed(whole.basis_matrix) == typed(want.basis_matrix)
+            assert got.pivots == whole.pivots == want.pivots
+    if p:
+        gens = [(p,) + non_units[0][1:], non_units[1]]
+        got = ideal_from_generators(A, gens)
+        want = Ideal(A, *span_by_actions(A.left_mult, gens, f))
+        assert not got.is_whole_ring()
+        assert typed(got.basis_matrix) == typed(want.basis_matrix)
+
+
 def test_wrong_lengths_raise_dimension_mismatch():
     fx = load("R3")
     A = fx.algebra
     d = A.dim
+    # a unit (constant 1) among the generators does not spare the length
+    # check, and an empty generator has no constant coordinate to read
     for gens in ([(1,) * (d + 1)], [(1,) * d, (1,) * (d - 1)], [()]):
         with pytest.raises(DimensionMismatch):
             ideal_from_generators(A, gens)

@@ -242,27 +242,60 @@ def test_unknown_suite_rejected(r3):
 ALL = tuple(FIXTURE_NAMES)
 
 # each fault replaces a functor and names, per suite, the fixtures on
-# which that suite reports a FAIL under `verify all` at trials=3; every
-# other suite and fixture passes.  The first four replace gamma or kappa
+# which that suite reports a FAIL under `verify all` at trials=3, and
+# then the fixtures on which that suite raises; every other suite and
+# fixture passes.  The first four replace gamma or kappa
 # by one of its bounds, I*M <= gamma(M) <= M[Ann I] and Ann(I)*M <=
 # kappa(M) <= M[I].  lemma11, satz25, folg32 and folg33 catch none of
 # them.  Replaced by its upper bound, gamma makes P membership read
 # "Ann(I)*M = 0", and so does kappa by its lower bound for S: only KXY,
 # whose ideal fails the epi criterion, tells these apart from P and S.
 # The next two break Matlis duality: a dual that keeps M's actions
-# untransposed, and a socle that returns the radical m*M.  The last one
+# untransposed, and a socle that returns the radical m*M.  The next one
 # breaks the R-span kernel behind every ideal and generated submodule:
 # span drops the last row of its echelon form when it has more than one.
-# linalg.kernel has no row: a kernel that drops a vector makes the double
-# annihilator certificate of every shipped fixture raise NotFree inside
-# `verify all`, an exception and not a FAIL record, so its row waits for
-# failed certificates to become FAIL records.
+# A kernel that drops the last vector of its echelon form makes the
+# double annihilator certificate raise NotFree in every suite but satz31
+# and folg33, which build the class contexts of drawn ideals, and in
+# satz31 on R3.  A raised certificate is recorded here as such, and
+# becomes a FAIL record once failed certificates do.
+# The last two break the module constructions.  A quotient_module whose
+# projection skips the pivot-row correction, a plain selection of the
+# free coordinates, is caught by no suite: the quotients that a shipped
+# fixture's suites build, R/m^i, R/Ann(I) and the drawn quotients of I
+# and I^2, are mostly by submodules whose echelon rows are unit vectors,
+# where the selection is the projection.  Of 100 drawn quotients per
+# fixture, 94 to 100 are the same under the fault, and every other one
+# is still a representation with the same is_p_member verdict.  A
+# submodule_as_module that reads the first k rows of each action instead
+# of the pivot rows fails satz22 on KXY, and gives the syzygy module of
+# a free cover the wrong actions, so satz25 raises "free cover is not
+# surjective" on every fixture.
 _span = linalg.span
+_kernel = linalg.kernel
+_quotient_module = modules.quotient_module
+_submodule_as_module = modules.submodule_as_module
 
 
 def _span_without_last_row(stacked, vectors, field, rank=1):
     red, pivots = _span(stacked, vectors, field, rank)
     return (red[:-1], pivots[:-1]) if len(red) > 1 else (red, pivots)
+
+
+def _kernel_without_last_vector(rows, field):
+    red, pivots = _kernel(rows, field)
+    return (red[:-1], pivots[:-1]) if len(red) > 1 else (red, pivots)
+
+
+def _quotient_by_selection(M, U):
+    # the echelon rows of U read as the unit vectors at their pivots
+    units = linalg.identity(M.dim, M.parent.field)
+    return _quotient_module(M, modules.Submodule(M, [units[c] for c in U.pivots], U.pivots))
+
+
+def _submodule_by_first_rows(U):
+    # pivots 0 .. k-1 in place of U's own: the first k rows of each action
+    return _submodule_as_module(modules.Submodule(U.ambient, U.basis_matrix, range(U.dim)))
 
 
 FAULTS = {
@@ -271,33 +304,56 @@ FAULTS = {
         lambda ctx, M, shortcut=True: ideal_times_module(ctx.I, M),
         {"satz22": ALL, "satz31": ("R3",), "satz35": ALL, "folg36": ALL,
          "duality": ("R3", "R4", "V2"), "closure": ALL},
+        {},
     ),
     "gamma-upper": (
         classes, "gamma",
         lambda ctx, M, shortcut=True: annihilator_submodule(M, ctx.ann_i),
         {"duality": ("KXY",)},
+        {},
     ),
     "kappa": (
         classes, "kappa",
         lambda ctx, M, shortcut=True: annihilator_submodule(M, ctx.I),
         {"satz31": ("R3",), "satz35": ALL, "folg36": ALL, "duality": ("R3", "R4", "V2")},
+        {},
     ),
     "kappa-lower": (
         classes, "kappa",
         lambda ctx, M, shortcut=True: ideal_times_module(ctx.ann_i, M),
         {"duality": ("KXY",)},
+        {},
     ),
     "matlis_dual-untransposed": (
         duality, "matlis_dual", lambda M: FModule(M.parent, M.actions),
         {"folg36": ("R3", "R4"), "duality": ("V2",)},
+        {},
     ),
     "socle-radical": (
         modules, "socle", radical,
         {"duality": ("R3", "R4", "KXY")},
+        {},
     ),
     "span-drops-last-row": (
         linalg, "span", _span_without_last_row,
         {"satz22": ("KXY",), "satz25": ("R3", "KXY"), "satz31": ("R3",)},
+        {},
+    ),
+    "kernel-drops-last-vector": (
+        linalg, "kernel", _kernel_without_last_vector,
+        {},
+        {"lemma11": ALL, "satz22": ALL, "satz25": ALL, "satz31": ("R3",), "folg32": ALL,
+         "satz35": ALL, "folg36": ALL, "duality": ALL, "closure": ALL},
+    ),
+    "quotient-by-selection": (
+        modules, "quotient_module", _quotient_by_selection,
+        {},
+        {},
+    ),
+    "submodule-by-first-rows": (
+        modules, "submodule_as_module", _submodule_by_first_rows,
+        {"satz22": ("KXY",)},
+        {"satz25": ALL},
     ),
 }
 
@@ -314,34 +370,59 @@ def _patch_every_binding(monkeypatch, module, functor, replacement):
                 monkeypatch.setattr(mod, attr, replacement)
 
 
+def _outcomes(name, trials, seed=None):
+    """Per suite in `verify all` order on a freshly parsed fixture, its
+    records, or the error it raised.  run_suite runs each suite on its
+    own stream, so the records are those of `verify all`."""
+    fx = load(name)
+    out = {}
+    for suite, _, _ in suites.SUITE_ORDER:
+        try:
+            out[suite] = run_suite(fx, suite, trials=trials, seed=seed).records
+        except MatlisLabError as err:
+            out[suite] = err
+    return out
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_suites_catch_injected_fault(monkeypatch, fault):
-    module, functor, replacement, catching = FAULTS[fault]
+    module, functor, replacement, catching, raising = FAULTS[fault]
     _patch_every_binding(monkeypatch, module, functor, replacement)
-    caught = {}
+    caught, raised = {}, {}
     for name in ALL:
         # freshly parsed fixtures: memos that earlier tests filled on the
         # algebras and modules cannot hide the fault
-        for rec in run_suite(load(name), "all", trials=3).records:
-            if rec.status == "FAIL":
-                caught.setdefault(rec.name.split("-")[0], set()).add(name)
+        for suite, out in _outcomes(name, 3).items():
+            if isinstance(out, MatlisLabError):
+                raised.setdefault(suite, set()).add(name)
+                continue
+            for rec in out:
+                if rec.status == "FAIL":
+                    caught.setdefault(rec.name.split("-")[0], set()).add(name)
     assert caught == {suite: set(names) for suite, names in catching.items()}
+    assert raised == {suite: set(names) for suite, names in raising.items()}
+
+
+def _rendered(outcomes):
+    return {suite: [r.render() for r in out] if isinstance(out, list)
+            else "raises %s: %s" % (type(out).__name__, out)
+            for suite, out in outcomes.items()}
 
 
 @pytest.mark.parametrize("fault", [None] + sorted(FAULTS))
 def test_reused_verdicts_match_every_trial_checked(monkeypatch, fault):
     """A PASS record renders no witness, so the report digests cannot see
     a verdict reused for the wrong draw: compare every record, FAIL
-    witnesses included, with a loop that checks each trial, with and
-    without each fault."""
+    witnesses included, and every error raised, with a loop that checks
+    each trial, with and without each fault."""
     if fault is not None:
         _patch_every_binding(monkeypatch, *FAULTS[fault][:3])
     for name in ALL:
         for seed in (1, 2, 3):
-            got = [r.render() for r in run_suite(load(name), "all", trials=20, seed=seed).records]
+            got = _rendered(_outcomes(name, 20, seed))
             with monkeypatch.context() as m:
                 m.setattr(suites, "_trials", every_trial)
-                want = [r.render() for r in run_suite(load(name), "all", trials=20, seed=seed).records]
+                want = _rendered(_outcomes(name, 20, seed))
             assert got == want
 
 
