@@ -383,20 +383,12 @@ def unit_ideal(A):
 def ideal_from_generators(A, gens):
     """Smallest ideal containing the given elements, canonical basis.
 
-    A generator whose constant coordinate is nonzero (mod p over F_p) is
-    a unit, since b_0 = 1 and R is local (both certified by
-    _validate_algebra), so the ideal is R, whose echelon basis is the
-    identity.  Otherwise the span of {b_i * g} over all basis elements
-    b_i already equals the ideal R*gens, so one linalg.span of the
-    stacked left multiplications suffices.  Raises DimensionMismatch for
-    a generator whose length is not dim(R), units or not.
+    The span of {b_i * g} over all basis elements b_i already equals the
+    ideal R*gens, so one linalg.span of the stacked left multiplications
+    suffices; for a unit generator that span is R, with the identity as
+    its echelon basis.  Raises DimensionMismatch for a generator whose
+    length is not dim(R).
     """
-    for g in gens:
-        if len(g) != A.dim:
-            raise DimensionMismatch("vector of length %d, need %d" % (len(g), A.dim))
-    p = A.field.char
-    if any(g[0] % p if p else g[0] for g in gens):
-        return unit_ideal(A)
     return Ideal(A, *linalg.span(A.left_cols, gens, A.field))
 
 

@@ -52,11 +52,12 @@ def _vectors(field, rng, count, length):
     return [flat[i * length:(i + 1) * length] for i in range(count)]
 
 
-def kept_module(A, key, build):
-    """The module under key in A's _module_memo, built by build() and
-    kept there on a miss.  Every key starts with a str naming the
-    construction, so it never equals the actions key of a module's own
-    memo (see modules._by_ideal_value)."""
+def kept_module(A, kind, value, build):
+    """The module that the construction kind (a str) gives for value,
+    kept in A's _module_memo: built by build() on a miss.  The key
+    (kind, value) starts with a str, so it never equals the actions key
+    of a module's own memo (see modules._by_ideal_value)."""
+    key = (kind, value)
     M = A._module_memo.get(key)
     if M is None:
         M = A._module_memo[key] = build()
@@ -81,7 +82,7 @@ def random_module(A, rng):
     for c in cols:
         c[::A.dim] = [A.field.zero] * t
     red, pivots = linalg.span(A.left_cols, cols, A.field, t)
-    return kept_module(A, ("cokernel", t, red),
+    return kept_module(A, "cokernel", (t, red),
                        lambda: _cokernel_of_echelon(A, t, red, pivots))
 
 

@@ -76,7 +76,7 @@ def _rand_p_member(powers, rng):
     Built once per value of U in a suite (see randmod.kept_module)."""
     Ij = powers[rng.randint(2)]
     U = random_submodule(Ij, rng)
-    return kept_module(Ij.parent, ("quotient", U), lambda: quotient_module(Ij, U)[0])
+    return kept_module(Ij.parent, "quotient", U, lambda: quotient_module(Ij, U)[0])
 
 
 def _trials(fx, name, count, draw, verdict):
@@ -418,7 +418,7 @@ def suite_closure(fx, trials, rng):
     def draw():
         M = _rand_p_member(powers, rng)
         N = _rand_p_member(powers, rng)
-        S = kept_module(M.parent, ("sum", M, N), lambda: direct_sum(M, N)[0])
+        S = kept_module(M.parent, "sum", (M, N), lambda: direct_sum(M, N)[0])
         # U fixes S as its ambient, but M (+) N alone does not fix the
         # split into M and N that the summand check reads
         return M, N, random_submodule(S, rng)

@@ -159,8 +159,8 @@ def test_drawn_quotients_and_sums_are_built_once_per_value(monkeypatch, suite):
     counted("direct_sum")
     keep = suites.kept_module
 
-    def recording_keep(A, key, build):
-        kept.append((key, keep(A, key, build)))
+    def recording_keep(A, kind, value, build):
+        kept.append(((kind, value), keep(A, kind, value, build)))
         return kept[-1][1]
 
     monkeypatch.setattr(suites, "kept_module", recording_keep)

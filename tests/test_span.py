@@ -163,9 +163,9 @@ def test_annihilators_match_the_per_action_route(name):
 @pytest.mark.parametrize("name", SPAN_CASES)
 def test_unit_generators_give_the_unit_ideal(name):
     """A generator whose constant coordinate is 1, -1, p+1 or 1/3 is a
-    unit, also among non-units: the ideal is unit_ideal(A) and equals
-    the span route.  A constant of p over F_p is zero, so such a
-    generator is a non-unit, and the span route decides."""
+    unit, also among non-units: the ideal is unit_ideal(A), with the
+    identity as its echelon basis, and equals the per-action route.  A
+    constant of p over F_p is zero, so such a generator is a non-unit."""
     A = load(name).algebra
     f = A.field
     rng = Lcg(25)
@@ -193,8 +193,6 @@ def test_wrong_lengths_raise_dimension_mismatch():
     fx = load("R3")
     A = fx.algebra
     d = A.dim
-    # a unit (constant 1) among the generators does not spare the length
-    # check, and an empty generator has no constant coordinate to read
     for gens in ([(1,) * (d + 1)], [(1,) * d, (1,) * (d - 1)], [()]):
         with pytest.raises(DimensionMismatch):
             ideal_from_generators(A, gens)
