@@ -79,7 +79,11 @@ class Algebra:
     left multiplications, the only ring product: a product u*v is
     sum_i u_i L_i v, and their linalg.stacked_columns ``left_cols`` give
     every b_i*v at once (spans R*g, ideal products).  It also keeps the
-    maximal ideal, and memos of data derived from ideals.
+    maximal ideal, and the two value memos that :func:`derived` fills:
+    _ideal_memo holds minimal generators and class contexts for the
+    algebra's lifetime, and _module_memo what is derived from modules
+    (modules._by_ideal_value, randmod, suites._trials) until
+    suites.run_suite ends the suite.
     """
 
     def __init__(self, field, variables, bound, basis, mult_table, var_elements):
@@ -105,13 +109,7 @@ class Algebra:
             tuple(range(1, self.dim)),
         )
         self._monomial_nf = {}
-        # data derived from an ideal, keyed by the Ideal: equal ideals
-        # have equal canonical bases, so they share one entry
-        self._generators_memo = {}
-        self._context_memo = {}  # filled by classes.class_context
-        # per distinct module its memo (modules._by_ideal_value), and each
-        # drawn module and each module the suites build from drawn ones
-        # (randmod.kept_module); emptied by suites.run_suite
+        self._ideal_memo = {}
         self._module_memo = {}
 
     def element_from_terms(self, terms):
@@ -329,10 +327,9 @@ class Ideal:
     """A canonical subspace of the regular module, closed under the action.
 
     Immutable after construction.  Its canonical basis_matrix determines
-    it, so data derived from it is memoized by value, not on the object:
-    on the parent algebra (minimal generators, class contexts) and on the
-    modules it acts on (I*M and M[I]), each keyed by the Ideal, whose
-    hash of that value is computed on first use and kept.
+    it, so data derived from it is memoized by value, not on the object,
+    in the parent algebra's memos (see Algebra): keys holding the Ideal,
+    whose hash of that value is computed on first use and kept.
     """
 
     def __init__(self, parent, basis_matrix, pivots):
@@ -422,18 +419,25 @@ def annihilator_of_ideal(I):
     return Ideal(A, *linalg.kernel(rows, f))
 
 
+def derived(memo, key, build):
+    """memo[key], or build() stored there on a miss: the get-or-build
+    path of the algebra's value memos (see Algebra).  Every key is a
+    tuple led by a str naming the construction, so keys of different
+    constructions never meet; build() never returns None."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+    return value
+
+
 def minimal_generators(I):
     """A minimal generating set: basis rows independent modulo m*I.
 
-    Computed once per distinct ideal: kept in a dict on the parent
-    algebra keyed by the ideal's value, so an equal Ideal object gets the
+    Computed once per distinct ideal and kept in the parent algebra's
+    _ideal_memo under ("gens", I), so an equal Ideal object gets the
     same tuple.
     """
-    memo = I.parent._generators_memo
-    gens = memo.get(I)
-    if gens is None:
-        gens = memo[I] = _minimal_generators(I)
-    return gens
+    return derived(I.parent._ideal_memo, ("gens", I), lambda: _minimal_generators(I))
 
 
 def _minimal_generators(I):

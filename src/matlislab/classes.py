@@ -39,6 +39,7 @@ directly.
 from . import linalg
 from .algebra import (
     annihilator_of_ideal,
+    derived,
     ideal_product,
     minimal_generators,
 )
@@ -69,18 +70,14 @@ def _require_ideal_of(algebra, ideal):
 def class_context(algebra, ideal):
     """The ClassContext of ``ideal``, built once per distinct ideal.
 
-    Contexts are kept in a dict on the algebra keyed by the ideal's
-    value, for the algebra's lifetime: every context depends only
-    on the value of I, and its certificates are deterministic, so
-    building it again for an equal ideal would prove nothing new.
-    Raises ParentMismatch for an ideal of another algebra.
+    Contexts are kept in the algebra's _ideal_memo under ("ctx", I), for
+    the algebra's lifetime: every context depends only on the value of
+    I, and its certificates are deterministic, so building it again for
+    an equal ideal would prove nothing new.  Raises ParentMismatch for an
+    ideal of another algebra.
     """
     _require_ideal_of(algebra, ideal)
-    memo = algebra._context_memo
-    ctx = memo.get(ideal)
-    if ctx is None:
-        ctx = memo[ideal] = ClassContext(algebra, ideal)
-    return ctx
+    return derived(algebra._ideal_memo, ("ctx", ideal), lambda: ClassContext(algebra, ideal))
 
 
 class ClassContext:
@@ -145,9 +142,11 @@ def gamma(ctx, M, shortcut=True):
     both routes.  Otherwise the trace is the span of the slots of the
     solutions (m_1, ..., m_n) of s_1 m_1 + ... + s_n m_n = 0, s running
     over the syzygies of I.  Each route is computed once per (value of I,
-    value of M) in a suite, and kept on M and the modules equal to it.
+    value of M) in a suite, and kept in the algebra's _module_memo (see
+    modules._by_ideal_value), where modules equal to M find it.
     """
-    return _by_ideal_value(("gamma", shortcut), ctx.I, M, lambda: _gamma(ctx, M, shortcut))
+    return _by_ideal_value("gamma-shortcut" if shortcut else "gamma", ctx.I, M,
+                           lambda: _gamma(ctx, M, shortcut))
 
 
 def _gamma(ctx, M, shortcut):
@@ -175,7 +174,8 @@ def kappa(ctx, M, shortcut=True):
     Without the shortcut: the m that lie in Syz.M inside M^n when put in
     slot j, for every j.  Memoized per route as gamma is.
     """
-    return _by_ideal_value(("kappa", shortcut), ctx.I, M, lambda: _kappa(ctx, M, shortcut))
+    return _by_ideal_value("kappa-shortcut" if shortcut else "kappa", ctx.I, M,
+                           lambda: _kappa(ctx, M, shortcut))
 
 
 def _kappa(ctx, M, shortcut):

@@ -6,15 +6,16 @@ MMIX constants (multiplier 6364136223846793005, increment
 identical fixtures across runs and implementations.  Values are drawn
 from the high 32 bits.
 
-A drawn module is one object per value, with its memos: kept_module
-keeps it in the algebra's _module_memo until suites.run_suite ends the
-suite, or for the algebra's lifetime outside a suite.  random_module
-keeps each cokernel there, and the suites keep the quotients and direct
-sums that they build from drawn values.
+A drawn module is one object per value, with what it keeps on itself:
+random_module keeps each cokernel in the algebra's _module_memo under
+("cokernel", t, red), through algebra.derived, until suites.run_suite
+ends the suite, or for the algebra's lifetime outside a suite.  The
+suites keep the quotients and direct sums that they build from drawn
+values there the same way.
 """
 
 from . import linalg
-from .algebra import ideal_from_generators
+from .algebra import derived, ideal_from_generators
 from .modules import _cokernel_of_echelon, generated_submodule
 
 _MULT = 6364136223846793005
@@ -52,18 +53,6 @@ def _vectors(field, rng, count, length):
     return [flat[i * length:(i + 1) * length] for i in range(count)]
 
 
-def kept_module(A, kind, value, build):
-    """The module that the construction kind (a str) gives for value,
-    kept in A's _module_memo: built by build() on a miss.  The key
-    (kind, value) starts with a str, so it never equals the actions key
-    of a module's own memo (see modules._by_ideal_value)."""
-    key = (kind, value)
-    M = A._module_memo.get(key)
-    if M is None:
-        M = A._module_memo[key] = build()
-    return M
-
-
 def random_ideal(A, rng):
     """The ideal of one or two random elements, units allowed."""
     return ideal_from_generators(A, _vectors(A.field, rng, 1 + rng.randint(2), A.dim))
@@ -82,8 +71,8 @@ def random_module(A, rng):
     for c in cols:
         c[::A.dim] = [A.field.zero] * t
     red, pivots = linalg.span(A.left_cols, cols, A.field, t)
-    return kept_module(A, "cokernel", (t, red),
-                       lambda: _cokernel_of_echelon(A, t, red, pivots))
+    return derived(A._module_memo, ("cokernel", t, red),
+                   lambda: _cokernel_of_echelon(A, t, red, pivots))
 
 
 def random_submodule(M, rng):

@@ -3,20 +3,21 @@
 Each suite runs a batch of structural checks with a seeded generator and
 returns a deterministic Report: same (fixture, seed, flags), same bytes.
 Failures are report content, not process errors, and always carry a
-replayable witness.  A drawn module is one object per value, with its
-memos, until the suite ends (see randmod): the cokernels that
-random_module draws, the quotients of _rand_p_member, keyed by the
-drawn submodule, and the direct sums of the closure draw, keyed by
-their two summands.  A repeated draw returns that object, with the
-columns that random_submodule spans and the memos of its submodules.
+replayable witness.  A drawn module is one object per value until the
+suite ends, kept in the algebra's _module_memo through algebra.derived
+(see randmod): the cokernels that random_module draws, the quotients of
+_rand_p_member under ("quotient", U), U the drawn submodule, and the
+direct sums of the closure draw under ("sum", M, N).  A repeated draw
+returns that object, with the columns that random_submodule spans.
 
 The random trials go through _trials, which checks each distinct draw
 once per suite: a trial that draws the same values as an earlier one
 reuses the verdict of its first occurrence, PASS or FAIL with its
-witness, under its own record name.  That is exact, as every verdict is
-a deterministic function of the drawn values: the key holds every value
-the verdict reads, and the memos behind it are keyed by value too.  The
-trial still draws, so the stream and every later draw are unchanged.
+witness, under its own record name; the verdicts are kept in the same
+memo.  That is exact, as every verdict is a deterministic function of
+the drawn values: the key holds every value the verdict reads, and the
+memos behind it are keyed by value too.  The trial still draws, so the
+stream and every later draw are unchanged.
 
 Some records hold by construction, as is_p_member and is_s_member decide
 False from the Ann(I) bound: the second half of each lemma11 chain,
@@ -33,6 +34,7 @@ only on FAIL.
 
 from .algebra import (
     annihilator_of_ideal,
+    derived,
     minimal_generators,
     unit_ideal,
 )
@@ -67,16 +69,16 @@ from .modules import (
     uniserial_chain,
     zero_module,
 )
-from .randmod import Lcg, kept_module, random_ideal, random_module, random_submodule
+from .randmod import Lcg, random_ideal, random_module, random_submodule
 from .report import FAIL, PASS, CheckRecord, Report, check
 
 
 def _rand_p_member(powers, rng):
     """A quotient of I or I^2 (powers): I-generated by construction.
-    Built once per value of U in a suite (see randmod.kept_module)."""
+    Built once per value of U in a suite (see the module docstring)."""
     Ij = powers[rng.randint(2)]
     U = random_submodule(Ij, rng)
-    return kept_module(Ij.parent, "quotient", U, lambda: quotient_module(Ij, U)[0])
+    return derived(Ij.parent._module_memo, ("quotient", U), lambda: quotient_module(Ij, U)[0])
 
 
 def _trials(fx, name, count, draw, verdict):
@@ -85,16 +87,14 @@ def _trials(fx, name, count, draw, verdict):
     draw() draws a trial from the suite's stream and returns every value
     that verdict reads, as a hashable tuple; verdict(*inputs) returns
     (ok, witness) for check.  Each distinct draw is checked once per
-    call, and a repeated one reuses its verdict (see the module
-    docstring).
+    suite, and a repeated one reuses its verdict, kept under
+    (name,) + inputs (see the module docstring).
     """
-    verdicts = {}
+    memo = fx.algebra._module_memo
     records = []
     for t in range(count):
         inputs = draw()
-        found = verdicts.get(inputs)
-        if found is None:
-            found = verdicts[inputs] = verdict(*inputs)
+        found = derived(memo, (name,) + inputs, lambda: verdict(*inputs))
         records.append(check(name % t, fx.name, *found))
     return records
 
@@ -418,7 +418,7 @@ def suite_closure(fx, trials, rng):
     def draw():
         M = _rand_p_member(powers, rng)
         N = _rand_p_member(powers, rng)
-        S = kept_module(M.parent, "sum", (M, N), lambda: direct_sum(M, N)[0])
+        S = derived(M.parent._module_memo, ("sum", M, N), lambda: direct_sum(M, N)[0])
         # U fixes S as its ambient, but M (+) N alone does not fix the
         # split into M and N that the summand check reads
         return M, N, random_submodule(S, rng)
@@ -475,8 +475,9 @@ SUITES = {name: (fn, default) for name, fn, default in SUITE_ORDER}
 def run_suite(fx, suite, trials=None, seed=None):
     """Run one named suite (or "all") and return its Report.
 
-    The memos that equal modules share (see modules._by_ideal_value) are
-    emptied after each suite, also when it raises.
+    The algebra's _module_memo, which holds what equal modules share
+    (see modules._by_ideal_value), the drawn modules and the verdicts of
+    the trials, is emptied after each suite, also when it raises.
     """
     if trials is not None and trials < 0:
         raise MatlisLabError("trials must be non-negative, got %d" % trials)
@@ -495,7 +496,7 @@ def run_suite(fx, suite, trials=None, seed=None):
         try:
             records.extend(fn(fx, trials if trials is not None else default, rng))
         finally:
-            # the memos of equal modules live for one suite: kept longer
-            # they would grow with every module the algebra ever saw
+            # the module memo lives for one suite: kept longer it would
+            # grow with every module the algebra ever saw
             fx.algebra._module_memo.clear()
     return Report(suite, fx.name, records)

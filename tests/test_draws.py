@@ -1,9 +1,10 @@
 """The seeded draws: fused scalar loops, interned modules, pinned streams.
 
 randmod draws each vector of scalars in one loop and keeps each drawn
-module once per value, in the algebra's _module_memo, until run_suite
-ends the suite; the suites keep the quotients and direct sums that they
-build from drawn values there too.  These tests hold the draws to the
+module once per value, in the algebra's _module_memo through
+algebra.derived, until run_suite ends the suite; the suites keep the
+quotients and direct sums that they build from drawn values there too,
+under ("quotient", U) and ("sum", M, N).  These tests hold the draws to the
 per-scalar route of tests/reference.py bit for bit, the interned modules
 to an uncached cokernel, the builds of the closure and satz22 draws to
 one per drawn value, and the drawn values of each shipped fixture and the
@@ -157,13 +158,14 @@ def test_drawn_quotients_and_sums_are_built_once_per_value(monkeypatch, suite):
 
     counted("quotient_module")
     counted("direct_sum")
-    keep = suites.kept_module
+    keep = suites.derived
 
-    def recording_keep(A, kind, value, build):
-        kept.append(((kind, value), keep(A, kind, value, build)))
+    def recording_keep(memo, key, build):
+        # the verdicts of the trials go through derived too
+        kept.append((key, keep(memo, key, build)))
         return kept[-1][1]
 
-    monkeypatch.setattr(suites, "kept_module", recording_keep)
+    monkeypatch.setattr(suites, "derived", recording_keep)
     trial_loop = suites._trials
 
     def marking_trials(fx, record, count, draw, verdict):

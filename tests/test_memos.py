@@ -1,11 +1,12 @@
-"""The memos of ideal-derived data agree with an uncached computation.
+"""The value memos agree with an uncached computation.
 
-Minimal generators and class contexts are kept on the algebra, I*M, M[I]
-and both routes of the trace and the reject on the module, each keyed by
-the ideal's basis_matrix.  Equal modules of one algebra share the module
-memos until run_suite ends a suite.  Every test parses its fixtures
-afresh, so no memo entry comes from another test, and compares by value
-and by scalar type.
+Minimal generators and class contexts are kept in the algebra's
+_ideal_memo, under ("gens", I) and ("ctx", I); I*M, M[I] and both routes
+of the trace and the reject in its _module_memo, under (route, I, M).
+Equal ideals and equal modules of one algebra are equal keys, so they
+share the entries, and run_suite empties _module_memo after each suite.
+Every test parses its fixtures afresh, so no memo entry comes from
+another test, and compares by value and by scalar type.
 """
 
 import pytest
@@ -146,14 +147,14 @@ def test_trace_and_reject_memos(name):
 
 
 def _fill_memos(ctx, M):
-    """Every module memo entry of (I, M), as (entry, its Submodule)."""
+    """Every module memo entry of (I, M), as (its route, its Submodule)."""
     return [
         ("I*M", ideal_times_module(ctx.I, M)),
         ("M[I]", annihilator_submodule(M, ctx.I)),
     ] + [
-        ((functor.__name__, shortcut), functor(ctx, M, shortcut=shortcut))
+        (functor.__name__ + suffix, functor(ctx, M, shortcut=bool(suffix)))
         for functor in (classes.gamma, classes.kappa)
-        for shortcut in (True, False)
+        for suffix in ("-shortcut", "")
     ]
 
 
@@ -174,13 +175,18 @@ def test_equal_modules_share_their_memos(monkeypatch, name):
         monkeypatch.setattr(modules_mod, fn, recompute)
     for fn in ("_gamma", "_kappa"):
         monkeypatch.setattr(classes, fn, recompute)
+    memo = A._module_memo
+    kept = dict(memo)
     for i, M in enumerate(modules):
         twin = _twin_module(M)
         for j, ctx in enumerate(contexts):
             for (entry, U), (_, V) in zip(filled[i, j], _fill_memos(ctx, twin)):
                 assert V.ambient is twin and V == U, (entry, ctx.I, M)
                 assert _pair(V) == _pair(U)
-        assert twin._memo is M._memo
+                # the twin read the entry that M stored, under M's key
+                assert memo[entry, ctx.I, twin] is kept[entry, ctx.I, M]
+    # and added none: the twin's keys are M's
+    assert memo.keys() == kept.keys()
 
 
 def test_equal_module_of_another_algebra_misses():
@@ -190,10 +196,15 @@ def test_equal_module_of_another_algebra_misses():
     M2 = FModule(fx2.algebra, M1.actions)
     assert M1.actions == M2.actions and M1 != M2
     filled = _fill_memos(fx1.ctx, M1)
-    assert M1._memo and fx2.algebra._module_memo == {}
+    memo1, memo2 = fx1.algebra._module_memo, fx2.algebra._module_memo
+    kept = dict(memo1)
+    assert all((entry, fx1.ctx.I, M1) in memo1 for entry, _ in filled)
+    assert memo2 == {}
     for (entry, U), (_, V) in zip(filled, _fill_memos(fx2.ctx, M2)):
         assert V.ambient is M2 and _pair(V) == _pair(U), entry
-    assert M2._memo is not M1._memo
+        # M2 computed its own entry, in its own algebra's memo
+        assert memo2[entry, fx2.ctx.I, M2] is not memo1[entry, fx1.ctx.I, M1]
+    assert memo1 == kept and all(key[2] is M2 for key in memo2)
     with pytest.raises(ParentMismatch):
         classes.gamma(fx2.ctx, M1)
 
@@ -206,6 +217,51 @@ def test_run_suite_empties_the_module_memo():
     assert fx.algebra._module_memo == {}
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_no_module_keeps_a_memo_past_its_suite(monkeypatch, name):
+    """After verify all, I*M of the context's own I_mod, which every
+    suite queries, is computed again, and an equal module built
+    afterwards reads that new entry: no module holds an entry that
+    run_suite did not empty."""
+    fx = load(name)
+    run_suite(fx, "all")
+    calls = []
+    compute = modules_mod._ideal_times
+
+    def counting(*args):
+        calls.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(modules_mod, "_ideal_times", counting)
+    I, M = fx.ctx.I, fx.ctx.I_mod
+    U = ideal_times_module(I, M)
+    assert len(calls) == 1
+    V = ideal_times_module(I, _twin_module(M))
+    assert len(calls) == 1 and _pair(V) == _pair(U)
+    assert _pair(U) == _pair(uncached_ideal_times_module(I, M))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_module_hash_is_by_value_and_computed_once(monkeypatch, name):
+    """Equal modules hash equal, and each object hashes its actions once:
+    every memo key holds a module."""
+    A = load(name).algebra
+    calls = []
+
+    def counting_hash(x):
+        calls.append(x)
+        return hash(x)
+
+    # FModule.__hash__ looks hash up in the modules namespace first
+    monkeypatch.setattr(modules_mod, "hash", counting_hash, raising=False)
+    for M in _modules(A):
+        twin = _twin_module(M)
+        calls.clear()
+        assert hash(M) == hash(twin) == hash(M) == hash(twin)
+        assert len(calls) == 2
+        assert {M: 1}[twin] == 1
+
+
 def test_run_suite_empties_the_module_memo_when_a_suite_raises(monkeypatch):
     fx = load("KXY")
     memo = fx.algebra._module_memo
@@ -215,7 +271,8 @@ def test_run_suite_empties_the_module_memo_when_a_suite_raises(monkeypatch):
 
     def membership(ctx, M):
         # lemma11 has interned the drawn M and memoized I*M for it by now
-        assert M._memo and any(key[0] == "cokernel" and memo[key] is M for key in memo)
+        assert ("I*M", ctx.I, M) in memo
+        assert any(key[0] == "cokernel" and memo[key] is M for key in memo)
         raise Stop
 
     monkeypatch.setattr(suites, "is_p_member", membership)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from matlislab import classes, cli, duality, ext, linalg, modules, suites
+from matlislab import algebra, classes, cli, duality, ext, linalg, modules, suites
 from matlislab.algebra import ideal_from_generators
 from matlislab.errors import MatlisLabError
 from matlislab.fixtures import Fixture, format_ideal, fixture_from_dict
@@ -259,7 +259,7 @@ ALL = tuple(FIXTURE_NAMES)
 # and folg33, which build the class contexts of drawn ideals, and in
 # satz31 on R3.  A raised certificate is recorded here as such, and
 # becomes a FAIL record once failed certificates do.
-# The last two break the module constructions.  A quotient_module whose
+# The next two break the module constructions.  A quotient_module whose
 # projection skips the pivot-row correction, a plain selection of the
 # free coordinates, is caught by no suite: the quotients that a shipped
 # fixture's suites build, R/m^i, R/Ann(I) and the drawn quotients of I
@@ -271,10 +271,20 @@ ALL = tuple(FIXTURE_NAMES)
 # of the pivot rows fails satz22 on KXY, and gives the syzygy module of
 # a free cover the wrong actions, so satz25 raises "free cover is not
 # surjective" on every fixture.
+# The last two sit behind a value memo, in the function that the memo
+# calls on a miss, so the memo keeps the wrong value and hands it to every
+# equal key: minimal_generators dropping its last generator (a principal
+# ideal then has none), and ideal_times_module computing I*M from the
+# first minimal generator of I only.  The first fails most suites, and
+# makes the free cover of satz25 raise "free cover is not minimal" on R3
+# and R4.  The second is caught only by folg32, on KXY and V2, whose
+# ideals have two generators: it compares I*E^j with the trace.
 _span = linalg.span
 _kernel = linalg.kernel
 _quotient_module = modules.quotient_module
 _submodule_as_module = modules.submodule_as_module
+_minimal_generators = algebra._minimal_generators
+_ideal_times = modules._ideal_times
 
 
 def _span_without_last_row(stacked, vectors, field, rank=1):
@@ -296,6 +306,17 @@ def _quotient_by_selection(M, U):
 def _submodule_by_first_rows(U):
     # pivots 0 .. k-1 in place of U's own: the first k rows of each action
     return _submodule_as_module(modules.Submodule(U.ambient, U.basis_matrix, range(U.dim)))
+
+
+def _generators_without_last(I):
+    return _minimal_generators(I)[:-1]
+
+
+def _ideal_times_first_generator(I, M, basis):
+    if basis is not None:  # I*U of a submodule is not this fault
+        return _ideal_times(I, M, basis)
+    first = algebra.minimal_generators(I)[:1]
+    return _ideal_times(ideal_from_generators(I.parent, first), M, None)
 
 
 FAULTS = {
@@ -355,6 +376,18 @@ FAULTS = {
         {"satz22": ("KXY",)},
         {"satz25": ALL},
     ),
+    "minimal-generators-drop-last": (
+        algebra, "_minimal_generators", _generators_without_last,
+        {"lemma11": ("R3", "R4", "KXY"), "satz22": ("R3", "R4", "KXY"),
+         "satz25": ("KXY",), "satz31": ALL, "folg32": ALL, "duality": ALL,
+         "closure": ("R3", "R4", "KXY")},
+        {"satz25": ("R3", "R4")},
+    ),
+    "ideal-times-module-first-generator": (
+        modules, "_ideal_times", _ideal_times_first_generator,
+        {"folg32": ("KXY", "V2")},
+        {},
+    ),
 }
 
 
@@ -391,7 +424,7 @@ def test_suites_catch_injected_fault(monkeypatch, fault):
     caught, raised = {}, {}
     for name in ALL:
         # freshly parsed fixtures: memos that earlier tests filled on the
-        # algebras and modules cannot hide the fault
+        # algebras cannot hide the fault
         for suite, out in _outcomes(name, 3).items():
             if isinstance(out, MatlisLabError):
                 raised.setdefault(suite, set()).add(name)
