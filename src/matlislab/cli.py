@@ -73,8 +73,8 @@ def run_compute(fx, command, module_ref):
         return "\n".join(lines)
     if command == "trace-basis":
         H = hom_space(ctx.I_mod, M)
-        lines = ["hom-dim = %d" % len(H.basis)]
-        for i, g in enumerate(H.basis):
+        lines = ["hom-dim = %d" % len(H)]
+        for i, g in enumerate(H):
             lines.append("map %d = %s" % (i, _format_matrix(g.matrix)))
         return "\n".join(lines)
     if command == "member-P":

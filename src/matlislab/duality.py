@@ -28,11 +28,12 @@ def evaluation_map(M):
 
     In dual-basis coordinates the double dual carries the original
     actions back, so the matrix is the identity; at finite length this
-    map is an isomorphism, which the constructor and one rank verify.
+    map is an isomorphism, which ModuleMap.check_equivariance and one
+    rank verify.
     """
     dd = matlis_dual(matlis_dual(M))
-    mat = linalg.identity(M.dim, M.parent.field)
-    ev = ModuleMap(M, dd, mat, check=True)
+    ev = ModuleMap(M, dd, linalg.identity(M.dim, M.parent.field))
+    ev.check_equivariance()
     if ev.rank() != M.dim:
         raise NotASubmodule("evaluation map is not an isomorphism")
     return ev

@@ -158,7 +158,7 @@ def free_cover(M):
     # e_(s,j) = e_s (x) b_j maps to b_j applied to the unit vector lift
     # e_i, i = keep[s]: column i of the action of b_j
     matrix = tuple(tuple(a[r][i] for i in keep for a in M.actions) for r in range(M.dim))
-    cov = FreeCover(M, len(keep), ModuleMap(free, M, matrix, check=False))
+    cov = FreeCover(M, len(keep), ModuleMap(free, M, matrix))
     d = A.dim
     if any(row[s * d] for row in cov.syzygy.basis_matrix for s in range(cov.rank)):
         raise MatlisLabError("free cover is not minimal")
@@ -166,16 +166,19 @@ def free_cover(M):
 
 
 class Ext1Space:
-    """Ext^1(C, A): dimension and representative cocycles K -> A."""
+    """Ext^1(C, A) as representative cocycles K -> A of a basis, K the
+    kernel of the cover: read K and its inclusion off ``cover.K_mod``
+    and ``cover.K_incl``."""
 
-    def __init__(self, C, A, cover, dim, representatives):
+    def __init__(self, C, A, cover, representatives):
         self.C = C
         self.A = A
         self.cover = cover
-        self.K_mod = cover.K_mod
-        self.K_incl = cover.K_incl
-        self.dim = dim
         self.representatives = tuple(representatives)
+
+    @property
+    def dim(self):
+        return len(self.representatives)
 
 
 def ext1(C, A, cover=None):
@@ -187,8 +190,8 @@ def ext1(C, A, cover=None):
         raise CoverMismatch("the cover is of another module than C")
     f = A.parent.field
     hom_ka = hom_space(cov.K_mod, A)
-    if cov.K_mod.dim == 0 or A.dim == 0:
-        return Ext1Space(C, A, cov, 0, ())
+    if not hom_ka:
+        return Ext1Space(C, A, cov, ())
     n, d = A.dim, A.parent.dim
     # the P_j stacked: row j*n + a holds P_j[a]
     P = tuple(tuple(act[a][j] for act in A.actions) for j in range(n) for a in range(n))
@@ -197,9 +200,8 @@ def ext1(C, A, cover=None):
         PW = linalg.mat_mul(P, cov.K_incl.matrix[s * d:(s + 1) * d], f)
         for j in range(0, n * n, n):
             restr_rows.append(tuple(x for row in PW[j:j + n] for x in row))
-    vecs = [tuple(x for row in h.matrix for x in row) for h in hom_ka.basis]
-    reps = [hom_ka.basis[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
-    return Ext1Space(C, A, cov, len(reps), reps)
+    vecs = [tuple(x for row in h.matrix for x in row) for h in hom_ka]
+    return Ext1Space(C, A, cov, [hom_ka[i] for i in linalg.extend_basis(restr_rows, vecs, f)])
 
 
 def extension_from_class(ext_space, cocycle):
@@ -208,19 +210,22 @@ def extension_from_class(ext_space, cocycle):
     B is A + C with b_k acting as [[A_k, h*D_k], [0, C_k]], the D_k kept
     on the cover (module docstring and :meth:`FreeCover.section`); A is
     the first block and B -> C the projection onto the second.  Its
-    class in Ext^1(C, A) is the class of h.  The cocycle's shape and
-    equivariance are checked; the section and the D_k are certified on
-    the cover.  Exactness needs no check: on A + C the inclusion [1; 0]
+    class in Ext^1(C, A) is the class of h.  K is read off the cover of
+    ``ext_space``.  The cocycle's shape is checked (DimensionMismatch),
+    and its matrix as a map K -> A is checked to be equivariant
+    (NotEquivariant); the section and the D_k are certified on the
+    cover.  Exactness needs no check: on A + C the inclusion [1; 0]
     is injective, the projection [0 1] surjective, and the kernel of the
     one is the image of the other.
     """
     A = ext_space.A
     C = ext_space.C
     f = A.parent.field
-    k = ext_space.K_mod.dim
+    K = ext_space.cover.K_mod
+    k = K.dim
     if len(cocycle.matrix) != A.dim or any(len(row) != k for row in cocycle.matrix):
         raise DimensionMismatch("a cocycle is a dim(A) x dim(K) matrix")
-    ModuleMap(ext_space.K_mod, A, cocycle.matrix, check=True)  # NotEquivariant if bad
+    ModuleMap(K, A, cocycle.matrix).check_equivariance()
 
     _, delta = ext_space.cover.section()
     a, c = A.dim, C.dim
@@ -235,8 +240,8 @@ def extension_from_class(ext_space, cocycle):
         actions.append(top + tuple(zero_left + rc for rc in act_c))
     B = FModule(A.parent, actions)
     ident = linalg.identity(a + c, f)
-    iota = ModuleMap(A, B, tuple(row[:a] for row in ident), check=False)
-    pi = ModuleMap(B, C, ident[a:], check=False)
+    iota = ModuleMap(A, B, tuple(row[:a] for row in ident))
+    pi = ModuleMap(B, C, ident[a:])
     return B, iota, pi
 
 
@@ -264,8 +269,8 @@ def satz25_search(ctx):
     else:
         return space.dim, ()
     dual_i, dual_b = matlis_dual(ctx.I_mod), matlis_dual(B)
-    iota_s = ModuleMap(dual_i, dual_b, linalg.transpose(pi.matrix), check=False)
-    pi_s = ModuleMap(dual_b, dual_i, linalg.transpose(iota.matrix), check=False)
+    iota_s = ModuleMap(dual_i, dual_b, linalg.transpose(pi.matrix))
+    pi_s = ModuleMap(dual_b, dual_i, linalg.transpose(iota.matrix))
     return space.dim, (
         (ctx.I_mod, (B, iota, pi), not is_p_member(ctx, B)),
         (dual_i, (dual_b, iota_s, pi_s), not is_s_member(ctx, dual_b)),

@@ -2,7 +2,7 @@
 
 Matrices are tuples of row tuples; vectors are tuples.  Row reduction
 runs one of two kernels on plain ints: elimination mod p over F_p, and
-fraction-free Gauss-Jordan on denominator-cleared rows over Q.  Four
+fraction-free Gauss-Jordan on denominator-cleared rows over Q.  Five
 functions use them:
 
 - :func:`rref`, the reduced row echelon form of a row space;
@@ -12,7 +12,10 @@ functions use them:
   rows with their columns reversed, instead of two;
 - :func:`span`, the reduced row echelon form of the span of all
   products a_k . v of given vectors v, read off the
-  :func:`stacked_columns` of the matrices a_k in one integer pass.
+  :func:`stacked_columns` of the matrices a_k in one integer pass;
+- :func:`extend_basis`, the greedy choice of candidates independent of
+  given rows, read off the pivot columns of one :func:`rref` of the
+  rows and candidates side by side as columns.
 
 Most rows of these systems are zero, and a zero row spans nothing, so
 it is dropped before any per-entry work is spent on it: over Q before
@@ -34,7 +37,6 @@ contract of :mod:`matlislab.fields`: an int when integral, else a
 Fraction.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -300,38 +302,13 @@ def extend_basis(rows, candidates, field):
     """Indices of the candidates kept by a left-to-right greedy pass.
 
     A candidate is kept when it lies outside the span of ``rows`` and of
-    the candidates kept before it.  Each one is reduced against the
-    current RREF, and a kept one joins it by one Gauss-Jordan step on
-    its normal form: scaled to a leading 1, its pivot column cleared in
-    the other rows, and inserted in pivot order.
+    the candidates kept before it, that is, when its column is a pivot
+    column of the matrix whose columns are the rows followed by the
+    candidates: one :func:`rref` of that matrix reads them all off.
     """
-    red, pivots = rref(rows, field)
-    red = [list(r) for r in red]
-    pivots = list(pivots)
-    ncols = len(candidates[0]) if candidates else 0
-    kept = []
-    for i, cand in enumerate(candidates):
-        if len(pivots) == ncols:
-            break
-        v = reduce_vector(red, pivots, cand, field)
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
-            continue
-        kept.append(i)
-        inv = field.inv(v[c])
-        v = [field.mul(inv, x) if x else x for x in v]
-        # v is 0 left of c and at the pivot columns of red, so clearing
-        # column c leaves red in reduced echelon form
-        for row in red:
-            a = row[c]
-            if a:
-                for k in range(c, ncols):
-                    if v[k]:
-                        row[k] = field.sub(row[k], field.mul(a, v[k]))
-        at = bisect_left(pivots, c)
-        red.insert(at, v)
-        pivots.insert(at, c)
-    return kept
+    _, pivots = rref(zip(*rows, *candidates), field)
+    n = len(rows)
+    return [c - n for c in pivots if c >= n]
 
 
 def reduce_vector(rref_rows, pivots, vec, field):

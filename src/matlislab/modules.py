@@ -123,16 +123,21 @@ class Submodule:
 
 
 class ModuleMap:
-    """An equivariant linear map between modules over the same algebra."""
+    """A linear map between modules over the same algebra.
 
-    def __init__(self, source, target, matrix, check=True):
+    The constructor trusts its matrix, as FModule trusts its actions: the
+    library's constructions produce equivariant maps.  A map from outside
+    them is checked by :meth:`check_equivariance`.
+    """
+
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = tuple(tuple(r) for r in matrix)
-        if check:
-            self._check_equivariance()
 
-    def _check_equivariance(self):
+    def check_equivariance(self):
+        """Raise ParentMismatch across two algebras, and NotEquivariant
+        unless the map commutes with the action of every variable."""
         if self.source.parent is not self.target.parent:
             raise ParentMismatch("map across different algebras")
         f = self.source.parent.field
@@ -160,22 +165,6 @@ class ModuleMap:
 
     def __repr__(self):
         return "ModuleMap(%d -> %d)" % (self.source.dim, self.target.dim)
-
-
-class HomSpace:
-    """A deterministic basis of all equivariant maps M -> N."""
-
-    def __init__(self, source, target, basis):
-        self.source = source
-        self.target = target
-        self.basis = tuple(basis)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def __repr__(self):
-        return "HomSpace(dim=%d)" % self.dim
 
 
 def submodule_from_spanning(M, vectors):
@@ -310,16 +299,19 @@ def ann_ring(M):
 
 
 def hom_space(M, N):
-    """All equivariant maps M -> N, solved from the equivariance system.
+    """A basis of all equivariant maps M -> N, as a tuple of ModuleMaps,
+    solved from the equivariance system.
 
     Equivariance against the algebra variables suffices since they
-    generate the algebra together with 1.
+    generate the algebra together with 1.  The basis is the one
+    linalg.nullspace fixes on the unknowns X[a][c], read row-major: one
+    map per free unknown, 1 there and 0 at the other free unknowns.
     """
     _require_same_parent(M, N)
     f = M.parent.field
     dm, dn = M.dim, N.dim
     if dm == 0 or dn == 0:
-        return HomSpace(M, N, ())
+        return ()
     n = dn * dm
     rows = []
     for ga, gb in zip(M.generator_actions(), N.generator_actions()):
@@ -340,12 +332,10 @@ def hom_space(M, N):
                 # the one unknown in both sums: X[a][c]
                 row[lo + c] = ga_cols[c][c] - da * gbI[a][a]
                 rows.append(row)
-    sols = linalg.nullspace(rows, f)
-    basis = []
-    for s in sols:
-        mat = tuple(tuple(s[a * dm + j] for j in range(dm)) for a in range(dn))
-        basis.append(ModuleMap(M, N, mat, check=False))
-    return HomSpace(M, N, basis)
+    return tuple(
+        ModuleMap(M, N, tuple(s[a * dm:(a + 1) * dm] for a in range(dn)))
+        for s in linalg.nullspace(rows, f)
+    )
 
 
 def _projection(red, pivots, n, f):
@@ -392,7 +382,7 @@ def quotient_module(M, U):
     Q = FModule(M.parent, [
         tuple(row[i * k:(i + 1) * k] for row in prod) for i in range(M.parent.dim)
     ])
-    return Q, ModuleMap(M, Q, proj, check=False)
+    return Q, ModuleMap(M, Q, proj)
 
 
 def _block_diagonal(A, summands):
@@ -427,10 +417,10 @@ def direct_sum(M, N):
     inj_n = _unit_block(S.dim, M.dim, N.dim, f)
     return (
         S,
-        (ModuleMap(M, S, inj_m, check=False), ModuleMap(N, S, inj_n, check=False)),
+        (ModuleMap(M, S, inj_m), ModuleMap(N, S, inj_n)),
         (
-            ModuleMap(S, M, linalg.transpose(inj_m), check=False),
-            ModuleMap(S, N, linalg.transpose(inj_n), check=False),
+            ModuleMap(S, M, linalg.transpose(inj_m)),
+            ModuleMap(S, N, linalg.transpose(inj_n)),
         ),
     )
 
@@ -440,7 +430,7 @@ def direct_power(M, j):
     S = _block_diagonal(M.parent, (M,) * j)
     f = M.parent.field
     injs = [
-        ModuleMap(M, S, _unit_block(S.dim, i * M.dim, M.dim, f), check=False)
+        ModuleMap(M, S, _unit_block(S.dim, i * M.dim, M.dim, f))
         for i in range(j)
     ]
     return S, injs
@@ -501,7 +491,7 @@ def submodule_as_module(U):
     incl = linalg.transpose(U.basis_matrix)  # M.dim x U.dim
     prod = linalg.mat_mul(tuple(act[p] for act in M.actions for p in U.pivots), incl, f)
     Umod = FModule(M.parent, [prod[i * k:(i + 1) * k] for i in range(M.parent.dim)])
-    return Umod, ModuleMap(Umod, M, incl, check=False)
+    return Umod, ModuleMap(Umod, M, incl)
 
 
 def cokernel_of_presentation(A, rank, columns):

@@ -189,7 +189,9 @@ def per_scalar_submodule_vectors(M, rng):
 
 class Ext1ByHomOfFree:
     """Ext^1(C, A) as Hom(K, A) modulo the restrictions of a basis of
-    hom_space(F, A), with the same attributes as the library's Ext1Space."""
+    hom_space(F, A), with the attributes of the library's Ext1Space, and
+    K_mod and K_incl built here from the syzygy of the cover, to compare
+    with the cover's own."""
 
     def __init__(self, C, A, cover):
         f = A.parent.field
@@ -199,11 +201,11 @@ class Ext1ByHomOfFree:
         reps = []
         if self.K_mod.dim and A.dim:
             restr_rows = []
-            for g in hom_space(cover.free, A).basis:
+            for g in hom_space(cover.free, A):
                 mat = linalg.mat_mul(g.matrix, self.K_incl.matrix, f)
                 restr_rows.append(tuple(x for row in mat for x in row))
-            vecs = [tuple(x for row in h.matrix for x in row) for h in hom_ka.basis]
-            reps = [hom_ka.basis[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
+            vecs = [tuple(x for row in h.matrix for x in row) for h in hom_ka]
+            reps = [hom_ka[i] for i in linalg.extend_basis(restr_rows, vecs, f)]
         self.dim = len(reps)
         self.representatives = tuple(reps)
 
@@ -221,16 +223,16 @@ def extension_by_pushout(ext_space, cocycle):
     D, (inj_a, _), (_, proj_f) = direct_sum(A, cov.free)
     graph_cols = [
         tuple(f.neg(row[j]) for row in cocycle.matrix)
-        + tuple(row[j] for row in ext_space.K_incl.matrix)
-        for j in range(ext_space.K_mod.dim)
+        + tuple(row[j] for row in cov.K_incl.matrix)
+        for j in range(cov.K_mod.dim)
     ]
     graph = submodule_from_spanning(D, graph_cols)
     B, proj_b = quotient_module(D, graph)
-    iota = ModuleMap(A, B, linalg.mat_mul(proj_b.matrix, inj_a.matrix, f), check=False)
+    iota = ModuleMap(A, B, linalg.mat_mul(proj_b.matrix, inj_a.matrix, f))
     pivset = set(graph.pivots)
     free_cols = [j for j in range(D.dim) if j not in pivset]
     to_c = linalg.mat_mul(cov.epi.matrix, proj_f.matrix, f)
-    pi = ModuleMap(B, C, tuple(tuple(row[j] for j in free_cols) for row in to_c), check=False)
+    pi = ModuleMap(B, C, tuple(tuple(row[j] for j in free_cols) for row in to_c))
     lift = tuple(
         tuple(f.one if j == c else f.zero for c in free_cols) for j in range(D.dim)
     )
@@ -374,10 +376,8 @@ def is_small(U, M):
 def zero_cocycle(space):
     """The zero cocycle K -> A of an Ext^1(C, A) space."""
     f = space.A.parent.field
-    return ModuleMap(
-        space.K_mod, space.A, linalg.zeros(space.A.dim, space.K_mod.dim, f),
-        check=False,
-    )
+    K = space.cover.K_mod
+    return ModuleMap(K, space.A, linalg.zeros(space.A.dim, K.dim, f))
 
 
 def image(phi):
@@ -390,7 +390,7 @@ def is_short_exact(iota, pi):
     equivariant (NotEquivariant otherwise), iota injective, pi
     surjective, and im iota = ker pi."""
     for phi in (iota, pi):
-        ModuleMap(phi.source, phi.target, phi.matrix, check=True)
+        phi.check_equivariance()
     return (
         iota.target is pi.source
         and iota.rank() == iota.source.dim
@@ -402,7 +402,7 @@ def is_short_exact(iota, pi):
 def hom_gamma(ctx, M):
     """The trace of I in M: the span of the images of a basis of Hom(I, M)."""
     rows = []
-    for g in hom_space(ctx.I_mod, M).basis:
+    for g in hom_space(ctx.I_mod, M):
         rows.extend(linalg.transpose(g.matrix))
     return submodule_from_spanning(M, rows)
 
@@ -410,9 +410,9 @@ def hom_gamma(ctx, M):
 def hom_kappa(ctx, M):
     """The reject of I° in M: the joint kernel of a basis of Hom(M, I°)."""
     H = hom_space(M, matlis_dual(ctx.I_mod))
-    if not H.basis:
+    if not H:
         return M.full_submodule()
-    stacked = linalg.stack(*[g.matrix for g in H.basis])
+    stacked = linalg.stack(*[g.matrix for g in H])
     return Submodule(M, *linalg.kernel(stacked, M.parent.field))
 
 
@@ -426,7 +426,7 @@ def hom_epi_onto_r_mod_ann_exists(ctx):
         return True
     _, proj_top = quotient_module(Q, radical(Q))
     f = R.parent.field
-    for g in hom_space(ctx.I_mod, Q).basis:
+    for g in hom_space(ctx.I_mod, Q):
         if any(x for row in linalg.mat_mul(proj_top.matrix, g.matrix, f) for x in row):
             return True
     return False
@@ -455,7 +455,7 @@ def embed_into_injective(M):
     Md = matlis_dual(M)
     cov = free_cover(Md)
     W = matlis_dual(cov.free)
-    e = ModuleMap(M, W, linalg.transpose(cov.epi.matrix), check=False)
+    e = ModuleMap(M, W, linalg.transpose(cov.epi.matrix))
     return W, e
 
 
@@ -583,32 +583,32 @@ def find_isomorphism(M, N, rng=None, tries=200):
     if M.dim != N.dim:
         return None
     if M.dim == 0:
-        return ModuleMap(M, N, (), check=False)
+        return ModuleMap(M, N, ())
     f = M.parent.field
     H = hom_space(M, N)
-    for g in H.basis:
+    for g in H:
         if g.rank() == M.dim:
             return g
-    if H.dim >= 2:
+    if len(H) >= 2:
         p = getattr(f, "p", None)
-        if p is not None and p ** H.dim <= 4096:
-            for idx in range(1, p**H.dim):
+        if p is not None and p ** len(H) <= 4096:
+            for idx in range(1, p ** len(H)):
                 coeffs = []
                 t = idx
-                for _ in range(H.dim):
+                for _ in range(len(H)):
                     coeffs.append(t % p)
                     t //= p
                 g = _combine(H, coeffs, f)
                 if linalg.rank(g, f) == M.dim:
-                    return ModuleMap(M, N, g, check=False)
+                    return ModuleMap(M, N, g)
         else:
             if rng is None:
                 rng = Lcg(0)
             for _ in range(tries):
-                coeffs = [f.of(rng.randint(5) - 2) for _ in range(H.dim)]
+                coeffs = [f.of(rng.randint(5) - 2) for _ in H]
                 g = _combine(H, coeffs, f)
                 if linalg.rank(g, f) == M.dim:
-                    return ModuleMap(M, N, g, check=False)
+                    return ModuleMap(M, N, g)
     return None
 
 
@@ -617,13 +617,14 @@ def iso_search_is_exhaustive(M, N):
     p = getattr(f, "p", None)
     if p is None:
         return False
-    return p ** hom_space(M, N).dim <= 4096
+    return p ** len(hom_space(M, N)) <= 4096
 
 
 def _combine(H, coeffs, f):
-    n, m = H.target.dim, H.source.dim
+    """sum_i coeffs[i] * H[i] of a nonempty tuple H of maps M -> N."""
+    n, m = H[0].target.dim, H[0].source.dim
     out = linalg.zeros(n, m, f)
-    for c, g in zip(coeffs, H.basis):
+    for c, g in zip(coeffs, H):
         if c != f.zero:
             out = linalg.mat_add(out, linalg.mat_scale(c, g.matrix, f), f)
     return out

@@ -276,11 +276,27 @@ _E3 = linalg.identity(3, QQ)
 # full rank from rows alone, and after the second kept candidate
 @example((F101, [_E3[0], _E3[1], _E3[2]], [(1, 2, 3)]))
 @example((F101, [(1, 1, 0)], [(2, 2, 0), (0, 1, 0), (0, 0, 5), (1, 0, 0)]))
+# dependent rows out of echelon order: a repeated row, and the sum of two
+@example((QQ, [(1, 2, 0), (1, 2, 0), (0, 1, 1), (1, 3, 1)],
+          [(1, 2, 0), (2, 5, 1), (0, 0, 1), (1, 0, 0)]))
+@example((F101, [(0, 1, 1), (1, 1, 0), (1, 1, 0), (1, 2, 1)], [(2, 3, 1), (0, 0, 5), (1, 0, 0)]))
+# vectors of length zero: nothing to keep
+@example((QQ, [()], [(), ()]))
+@example((F101, [], [()]))
+# restriction rows and Hom(K, A) vectors of ext1 with Fraction entries: of
+# ext1(k, rescaled(I)) on R3, whose first candidate is a coboundary, and
+# of ext1(R-mod-x, rescaled(regular)) on V2
+@example((QQ, [(0, 0, 6, 0), (0, 0, 0, 0)], [(0, 0, 1, 0), (F(1, 6), 0, 0, 1)]))
+@example((QQ, [(0, 0, F(4, 7)), (0, 0, 0), (0, 0, 0)], [(0, 1, 0), (0, 0, 1)]))
 def test_extend_basis_matches_rereduction(problem):
-    """The one-step update keeps the same candidates as row-reducing
-    the stack again after each kept one."""
+    """The pivot columns among the candidates, read off one rref of the
+    rows and candidates as columns, are the candidates kept by
+    row-reducing the stack again after each kept one, and by the loop
+    that keeps what raises the rank."""
     field, rows, cands = problem
-    assert linalg.extend_basis(rows, cands, field) == extend_basis_by_rereduction(rows, cands, field)
+    kept = linalg.extend_basis(rows, cands, field)
+    assert kept == extend_basis_by_rereduction(rows, cands, field)
+    assert kept == _extend_basis_by_rank(rows, cands, field)
 
 
 def _dot_ref(row, col, field):

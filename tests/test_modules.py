@@ -19,7 +19,7 @@ from reference import (
 from matlislab import linalg
 from matlislab.algebra import ideal_from_generators, minimal_generators
 from matlislab.duality import matlis_dual
-from matlislab.errors import DimensionMismatch, NotEquivariant, NotUniserial
+from matlislab.errors import DimensionMismatch, NotEquivariant, NotUniserial, ParentMismatch
 from matlislab.randmod import (
     Lcg,
     random_ideal,
@@ -148,20 +148,25 @@ def test_hom_space_dimensions(r3):
     A = r3.algebra
     R = regular_module(A)
     k = residue_field_module(A)
-    assert len(hom_space(R, R).basis) == 3
-    assert len(hom_space(R, k).basis) == 1
-    assert len(hom_space(k, R).basis) == 1
-    assert len(hom_space(k, k).basis) == 1
+    assert len(hom_space(R, R)) == 3
+    assert len(hom_space(R, k)) == 1
+    assert len(hom_space(k, R)) == 1
+    assert len(hom_space(k, k)) == 1
 
 
-def test_equivariance_enforced(r3):
+def test_equivariance_enforced(r3, r4):
     A = r3.algebra
     R = regular_module(A)
     bad = tuple(
         tuple(F(1) if (i, j) == (0, 1) else F(0) for j in range(3)) for i in range(3)
     )
+    phi = ModuleMap(R, R, bad)  # the constructor trusts its matrix
     with pytest.raises(NotEquivariant):
-        ModuleMap(R, R, bad, check=True)
+        phi.check_equivariance()
+    ModuleMap(R, R, linalg.identity(3, A.field)).check_equivariance()
+    k3, k4 = residue_field_module(A), residue_field_module(r4.algebra)
+    with pytest.raises(ParentMismatch):
+        ModuleMap(k3, k4, ((1,),)).check_equivariance()
 
 
 def test_direct_sum_maps(r3):
@@ -194,11 +199,11 @@ def _direct_power_by_sums(M, j):
     if j == 0:
         return zero_module(M.parent), []
     S = M
-    injs = [ModuleMap(M, M, linalg.identity(M.dim, M.parent.field), check=False)]
+    injs = [ModuleMap(M, M, linalg.identity(M.dim, M.parent.field))]
     for _ in range(j - 1):
         S2, (ia, ib), _ = direct_sum(S, M)
         injs = [
-            ModuleMap(M, S2, linalg.mat_mul(ia.matrix, e.matrix, M.parent.field), check=False)
+            ModuleMap(M, S2, linalg.mat_mul(ia.matrix, e.matrix, M.parent.field))
             for e in injs
         ] + [ib]
         S = S2
@@ -445,7 +450,7 @@ def test_hom_space_matches_fraction_system(fixtures, name):
     mods += [rescaled(M) for M in mods[-4:]] + [direct_power(fx.module("E"), 2)[0]]
     for M in mods:
         for N in mods:
-            got = [g.matrix for g in hom_space(M, N).basis]
+            got = [g.matrix for g in hom_space(M, N)]
             want = _hom_basis_by_fractions(M, N)
             assert got == want
             assert [type(x) for g in got for r in g for x in r] == [

@@ -145,7 +145,7 @@ def test_fixture_modules_keep_the_contract(fixtures, extra_fixtures, name):
             k = kappa(fx.ctx, M, shortcut=shortcut)
             _assert_contract(g.basis_matrix)
             _assert_contract(k.basis_matrix)
-        for h in hom_space(fx.ctx.I_mod, M).basis:
+        for h in hom_space(fx.ctx.I_mod, M):
             _assert_contract(h.matrix)
         Q, proj = quotient_module(M, g)
         _assert_contract(proj.matrix)

@@ -133,7 +133,7 @@ def test_closure_degenerate_fail_names_conditions(r3, monkeypatch):
 
 
 def _zero_ext1(C, A, cover=None):
-    return ext.Ext1Space(C, A, ext.free_cover(C), 0, ())
+    return ext.Ext1Space(C, A, ext.free_cover(C), ())
 
 
 # each fault breaks one step of the satz25 construction: the membership
@@ -279,12 +279,27 @@ ALL = tuple(FIXTURE_NAMES)
 # makes the free cover of satz25 raise "free cover is not minimal" on R3
 # and R4.  The second is caught only by folg32, on KXY and V2, whose
 # ideals have two generators: it compares I*E^j with the trace.
+# The next two break linalg.extend_basis, the greedy choice behind the
+# minimal generators of an ideal, the generators of a free cover and the
+# representatives of Ext^1.  Greedy over the candidates alone, ignoring
+# the rows, keeps every basis row of I as a generator, every unit vector
+# as a cover generator, and the coboundaries as Ext^1 classes.  It is
+# caught by no suite: a redundant generating set of I still spans I and
+# presents it, and the satz25 verdict depends only on the class of a
+# cocycle, which a coboundary does not change.  It surfaces only as the
+# cover's minimality certificate, raised in satz25 on R3, R4 and KXY; on
+# V2, m*I = 0, so generators and cover are minimal anyway, and Ext^1(I, I)
+# only gains coboundary classes, which no record prints.  Dropping the
+# last kept candidate fails seven suites, and makes satz25 raise "free
+# cover is not minimal" on R4 and "free cover is not surjective" on KXY
+# and V2.
 _span = linalg.span
 _kernel = linalg.kernel
 _quotient_module = modules.quotient_module
 _submodule_as_module = modules.submodule_as_module
 _minimal_generators = algebra._minimal_generators
 _ideal_times = modules._ideal_times
+_extend_basis = linalg.extend_basis
 
 
 def _span_without_last_row(stacked, vectors, field, rank=1):
@@ -317,6 +332,14 @@ def _ideal_times_first_generator(I, M, basis):
         return _ideal_times(I, M, basis)
     first = algebra.minimal_generators(I)[:1]
     return _ideal_times(ideal_from_generators(I.parent, first), M, None)
+
+
+def _extend_basis_ignoring_rows(rows, candidates, field):
+    return _extend_basis((), candidates, field)
+
+
+def _extend_basis_without_last(rows, candidates, field):
+    return _extend_basis(rows, candidates, field)[:-1]
 
 
 FAULTS = {
@@ -387,6 +410,18 @@ FAULTS = {
         modules, "_ideal_times", _ideal_times_first_generator,
         {"folg32": ("KXY", "V2")},
         {},
+    ),
+    "extend-basis-ignores-rows": (
+        linalg, "extend_basis", _extend_basis_ignoring_rows,
+        {},
+        {"satz25": ("R3", "R4", "KXY")},
+    ),
+    "extend-basis-drops-last": (
+        linalg, "extend_basis", _extend_basis_without_last,
+        {"lemma11": ("R3", "R4", "KXY"), "satz22": ("R3", "R4", "KXY"),
+         "satz25": ("R3",), "satz31": ALL, "folg32": ALL, "duality": ALL,
+         "closure": ("R3", "R4", "KXY")},
+        {"satz25": ("R4", "KXY", "V2")},
     ),
 }
 
