@@ -28,12 +28,12 @@ I = R^n / Syz.
 A k-basis of Syz gives both systems: n.dim(M) unknowns, against
 dim(I).dim(M) for a Hom system.
 
-Membership needs neither system when Ann(I).M != 0: Ann(I) kills every
-module in P and in S, so is_p_member and is_s_member return False from
-that bound alone.  The suites that test membership, lemma11 and the
-satz22 equivalence among them, therefore exercise gamma and kappa only
-where Ann(I).M = 0; satz31, folg32, satz35 and folg36 still call them
-directly.
+gamma and kappa have this one route each.  is_p_member and is_s_member
+first try four exact exits, read off the bounds I.M <= trace <= M[Ann(I)]
+and Ann(I).M <= reject <= M[I], memoized by value.  The suites that test
+membership, lemma11 and the satz22 equivalence among them, therefore
+exercise gamma and kappa only where the bounds leave the answer open;
+satz31, folg32, satz35 and folg36 call them directly.
 """
 
 from . import linalg
@@ -134,26 +134,19 @@ def _slots(v, n, d):
     return tuple(tuple(v[j * d:(j + 1) * d]) for j in range(n))
 
 
-def gamma(ctx, M, shortcut=True):
+def gamma(ctx, M):
     """The trace of I in M: the largest submodule of M lying in P.
 
-    With ``shortcut`` the bounds I*M <= trace <= M[Ann(I)] short-circuit
-    the computation when they coincide; verification suites compare
-    both routes.  Otherwise the trace is the span of the slots of the
-    solutions (m_1, ..., m_n) of s_1 m_1 + ... + s_n m_n = 0, s running
-    over the syzygies of I.  Each route is computed once per (value of I,
-    value of M) in a suite, and kept in the algebra's _module_memo (see
-    modules._by_ideal_value), where modules equal to M find it.
+    The span of the slots of the solutions (m_1, ..., m_n) of
+    s_1 m_1 + ... + s_n m_n = 0, s running over the syzygies of I.
+    Computed once per (value of I, value of M) in a suite, and kept in
+    the algebra's _module_memo (see modules._by_ideal_value), where
+    modules equal to M find it.
     """
-    return _by_ideal_value("gamma-shortcut" if shortcut else "gamma", ctx.I, M,
-                           lambda: _gamma(ctx, M, shortcut))
+    return _by_ideal_value("gamma", ctx.I, M, lambda: _gamma(ctx, M))
 
 
-def _gamma(ctx, M, shortcut):
-    if shortcut:
-        lower = ideal_times_module(ctx.I, M)
-        if lower == annihilator_submodule(M, ctx.ann_i):
-            return lower
+def _gamma(ctx, M):
     n = len(minimal_generators(ctx.I))
     if n == 0 or M.dim == 0:
         return M.zero_submodule()
@@ -168,21 +161,16 @@ def _gamma(ctx, M, shortcut):
     return submodule_from_spanning(M, [m for v in sols for m in _slots(v, n, M.dim)])
 
 
-def kappa(ctx, M, shortcut=True):
+def kappa(ctx, M):
     """The reject of I° in M: the smallest V with M/V in S.
 
-    Without the shortcut: the m that lie in Syz.M inside M^n when put in
-    slot j, for every j.  Memoized per route as gamma is.
+    The m that lie in Syz.M inside M^n when put in slot j, for every j.
+    Memoized as gamma is.
     """
-    return _by_ideal_value("kappa-shortcut" if shortcut else "kappa", ctx.I, M,
-                           lambda: _kappa(ctx, M, shortcut))
+    return _by_ideal_value("kappa", ctx.I, M, lambda: _kappa(ctx, M))
 
 
-def _kappa(ctx, M, shortcut):
-    if shortcut:
-        lower = ideal_times_module(ctx.ann_i, M)
-        if lower == annihilator_submodule(M, ctx.I):
-            return lower
+def _kappa(ctx, M):
     n = len(minimal_generators(ctx.I))
     if n == 0 or M.dim == 0:
         return M.full_submodule()
@@ -204,26 +192,33 @@ def _kappa(ctx, M, shortcut):
 def is_p_member(ctx, M):
     """Is M in P, i.e. is the trace of I in M all of M?
 
-    Ann(I) kills I and so every quotient of a sum of copies of I: M in P
-    forces M[Ann(I)] = M.  So M[Ann(I)] != M decides False at once, and
-    exactly; otherwise the trace decides.  M[Ann(I)] is the upper bound
-    that gamma's shortcut computes anyway, memoized by value.
+    Two exact exits come first, read off bounds memoized by value.
+    Ann(I) kills I and so every quotient of a sum of copies of I: the
+    trace lies in M[Ann(I)], so M[Ann(I)] != M decides False.  The trace
+    contains I*M, the image of a map from a sum of copies of I, so
+    I*M = M decides True.  Otherwise the trace decides.
     """
     if annihilator_submodule(M, ctx.ann_i).dim != M.dim:
         return False
+    if ideal_times_module(ctx.I, M).dim == M.dim:
+        return True
     return gamma(ctx, M).dim == M.dim
 
 
 def is_s_member(ctx, M):
     """Is M in S, i.e. is the reject of I° in M zero?
 
-    Ann(I) kills I, hence I° and every submodule of a product of copies
-    of I°: M in S forces Ann(I)*M = 0.  So Ann(I)*M != 0 decides False
-    at once, and exactly; otherwise the reject decides.  Ann(I)*M is the
-    lower bound that kappa's shortcut computes anyway, memoized by value.
+    Two exact exits come first, as in is_p_member.  Ann(I) kills I,
+    hence I° and every submodule of a product of copies of I°: the
+    reject contains Ann(I)*M, so Ann(I)*M != 0 decides False.  A
+    functional l on M gives the map m -> (g -> l(g m)) into I°, which
+    kills m for every l only when I m = 0: the reject lies in M[I], so
+    M[I] = 0 decides True.  Otherwise the reject decides.
     """
     if ideal_times_module(ctx.ann_i, M).dim != 0:
         return False
+    if annihilator_submodule(M, ctx.I).dim == 0:
+        return True
     return kappa(ctx, M).dim == 0
 
 

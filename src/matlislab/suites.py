@@ -22,7 +22,10 @@ stream and every later draw are unchanged.
 Some records hold by construction, as is_p_member and is_s_member decide
 False from the Ann(I) bound: the second half of each lemma11 chain,
 satz22-forward and that direction of satz22-equivalence, and the satz25
-verdicts.
+verdicts.  The first half of each lemma11 chain (I.M = M implies M in P)
+holds by construction too: Ann(I).M = Ann(I).I.M = 0 passes the Ann(I)
+exit, and the I.M = M exit returns True.  So the random chains test no
+gamma, and of lemma11 only the E^j records do.
 
 Checks that hold by construction are not run: the map M -> M°° (the
 dual transposes the actions, so M°° carries M's own and the map is the
@@ -228,18 +231,14 @@ def suite_satz31(fx, trials, rng):
 
     def verdict(I, M):
         ctx = class_context(A, I)
-        g_fast = gamma(ctx, M, shortcut=True)
-        g = gamma(ctx, M, shortcut=False)
-        k_fast = kappa(ctx, M, shortcut=True)
-        k = kappa(ctx, M, shortcut=False)
+        g = gamma(ctx, M)
+        k = kappa(ctx, M)
         lower_g = ideal_times_module(I, M)
         upper_g = annihilator_submodule(M, ctx.ann_i)
         lower_k = ideal_times_module(ctx.ann_i, M)
         upper_k = annihilator_submodule(M, I)
         ok = (
-            g == g_fast
-            and k == k_fast
-            and g.contains_submodule(lower_g)
+            g.contains_submodule(lower_g)
             and upper_g.contains_submodule(g)
             and k.contains_submodule(lower_k)
             and upper_k.contains_submodule(k)
@@ -263,8 +262,8 @@ def suite_folg32(fx, trials, rng):
     records = []
     for j in (1, 2, 3):
         M, _ = direct_power(E, j)
-        g = gamma(ctx, M, shortcut=False)
-        k = kappa(ctx, M, shortcut=False)
+        g = gamma(ctx, M)
+        k = kappa(ctx, M)
         im = ideal_times_module(ctx.I, M)
         upper = annihilator_submodule(M, ctx.ann_i)
         ok = (
@@ -277,8 +276,8 @@ def suite_folg32(fx, trials, rng):
                              lambda: "gamma=%s" % format_submodule(g)))
     for j in (1, 2, 3):
         M, _ = direct_power(R, j)
-        g = gamma(ctx, M, shortcut=False)
-        k = kappa(ctx, M, shortcut=False)
+        g = gamma(ctx, M)
+        k = kappa(ctx, M)
         ok = (
             ideal_times_module(ctx.ann_i, M) == k
             and k == annihilator_submodule(M, ctx.I)
@@ -344,8 +343,8 @@ def suite_satz35(fx, trials, rng):
         return records
     for name, M in pool:
         s, g_formula, k_formula = uniserial_s(ctx, M)
-        g = gamma(ctx, M, shortcut=False)
-        k = kappa(ctx, M, shortcut=False)
+        g = gamma(ctx, M)
+        k = kappa(ctx, M)
         ok = g_formula == g and k_formula == k
         records.append(
             check(

@@ -97,8 +97,8 @@ def test_criterion_3_uniserial_exhaustive():
                     sub = generated_submodule(R, [powers[i]])
                     M, _ = quotient_module(R, sub)
                     s, g_formula, k_formula = uniserial_s(ctx, M)
-                    assert g_formula == gamma(ctx, M, shortcut=False), (field, n, j, i)
-                    assert k_formula == kappa(ctx, M, shortcut=False), (field, n, j, i)
+                    assert g_formula == gamma(ctx, M), (field, n, j, i)
+                    assert k_formula == kappa(ctx, M), (field, n, j, i)
                     assert uniserial_duality(ctx, M) == (True, True), (field, n, j, i)
                     checked += 1
     assert checked == 2 * sum(n * (n + 1) for n in (2, 3, 4, 5, 6))

@@ -55,18 +55,18 @@ def test_trace_of_regular_module(r3):
     assert kappa(r3.ctx, R).basis_matrix == R3_KAPPA_REGULAR
 
 
-def test_shortcut_equals_full_computation(kxy):
+def test_membership_exits_equal_full_computation(kxy):
     rng = Lcg(21)
     for _ in range(25):
         M = random_module(kxy.algebra, rng)
-        assert gamma(kxy.ctx, M, shortcut=True) == gamma(kxy.ctx, M, shortcut=False)
-        assert kappa(kxy.ctx, M, shortcut=True) == kappa(kxy.ctx, M, shortcut=False)
+        assert is_p_member(kxy.ctx, M) == (gamma(kxy.ctx, M).dim == M.dim)
+        assert is_s_member(kxy.ctx, M) == (kappa(kxy.ctx, M).dim == 0)
 
 
 def _kxy_modules():
     """A fresh parse of KXY and seeded modules over it.  Equal modules of
     one algebra share their memos, so on a shared fixture an earlier test
-    may have computed either route already."""
+    may have computed gamma or kappa already."""
     kxy = load("KXY")
     rng = Lcg(22)
     return kxy, [random_module(kxy.algebra, rng) for _ in range(6)] + [kxy.module("E")]
@@ -76,8 +76,7 @@ def test_full_route_computes_no_bounds(monkeypatch):
     # the expected values come from another parse, so that the patched
     # calls below find nothing memoized and compute the full route
     ref, ref_mods = _kxy_modules()
-    want = [(gamma(ref.ctx, M, shortcut=False), kappa(ref.ctx, M, shortcut=False))
-            for M in ref_mods]
+    want = [(gamma(ref.ctx, M), kappa(ref.ctx, M)) for M in ref_mods]
     kxy, mods = _kxy_modules()
 
     def bound(*args):
@@ -86,10 +85,11 @@ def test_full_route_computes_no_bounds(monkeypatch):
     monkeypatch.setattr(classes, "ideal_times_module", bound)
     monkeypatch.setattr(classes, "annihilator_submodule", bound)
     for M, (g, k) in zip(mods, want):
-        assert gamma(kxy.ctx, M, shortcut=False).basis_matrix == g.basis_matrix
-        assert kappa(kxy.ctx, M, shortcut=False).basis_matrix == k.basis_matrix
+        assert gamma(kxy.ctx, M).basis_matrix == g.basis_matrix
+        assert kappa(kxy.ctx, M).basis_matrix == k.basis_matrix
+    # the membership tests read the bounds first
     with pytest.raises(AssertionError):
-        gamma(kxy.ctx, mods[0])
+        is_p_member(kxy.ctx, mods[0])
 
 
 def test_degenerate_ideals(r3):

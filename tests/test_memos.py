@@ -1,8 +1,8 @@
 """The value memos agree with an uncached computation.
 
 Minimal generators and class contexts are kept in the algebra's
-_ideal_memo, under ("gens", I) and ("ctx", I); I*M, M[I] and both routes
-of the trace and the reject in its _module_memo, under (route, I, M).
+_ideal_memo, under ("gens", I) and ("ctx", I); I*M, M[I], the trace and
+the reject in its _module_memo, under (route, I, M).
 Equal ideals and equal modules of one algebra are equal keys, so they
 share the entries, and run_suite empties _module_memo after each suite.
 Every test parses its fixtures afresh, so no memo entry comes from
@@ -130,8 +130,7 @@ TRACE_CASES = FIXTURE_NAMES + ["QXY-sums"]
 
 @pytest.mark.parametrize("name", TRACE_CASES)
 def test_trace_and_reject_memos(name):
-    """Both routes of gamma and kappa, each memoized on its own, agree
-    with the uncached Hom routes."""
+    """gamma and kappa, memoized, agree with the uncached Hom routes."""
     A = load(name).algebra
     for M in _modules(A):
         for I in _ideals(A):
@@ -139,11 +138,10 @@ def test_trace_and_reject_memos(name):
             want = {classes.gamma: _pair(hom_gamma(ctx, M)),
                     classes.kappa: _pair(hom_kappa(ctx, M))}
             for functor, pair in want.items():
-                for shortcut in (True, False):
-                    U = functor(ctx, M, shortcut=shortcut)
-                    assert U.ambient is M
-                    assert _pair(U) == pair, (functor.__name__, shortcut, I, M)
-                    assert _pair(functor(ctx, M, shortcut=shortcut)) == pair
+                U = functor(ctx, M)
+                assert U.ambient is M
+                assert _pair(U) == pair, (functor.__name__, I, M)
+                assert _pair(functor(ctx, M)) == pair
 
 
 def _fill_memos(ctx, M):
@@ -151,17 +149,15 @@ def _fill_memos(ctx, M):
     return [
         ("I*M", ideal_times_module(ctx.I, M)),
         ("M[I]", annihilator_submodule(M, ctx.I)),
-    ] + [
-        (functor.__name__ + suffix, functor(ctx, M, shortcut=bool(suffix)))
-        for functor in (classes.gamma, classes.kappa)
-        for suffix in ("-shortcut", "")
+        ("gamma", classes.gamma(ctx, M)),
+        ("kappa", classes.kappa(ctx, M)),
     ]
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_equal_modules_share_their_memos(monkeypatch, name):
     """A module equal to one already met, but a distinct object, finds
-    I*M, M[I] and both routes of gamma and kappa computed."""
+    I*M, M[I], gamma and kappa computed."""
     A = load(name).algebra
     modules = _modules(A)
     contexts = [class_context(A, I) for I in _ideals(A)]

@@ -140,11 +140,10 @@ def test_fixture_modules_keep_the_contract(fixtures, extra_fixtures, name):
     for M in _modules(fx):
         for action in M.actions:
             _assert_contract(action)
-        for shortcut in (True, False):
-            g = gamma(fx.ctx, M, shortcut=shortcut)
-            k = kappa(fx.ctx, M, shortcut=shortcut)
-            _assert_contract(g.basis_matrix)
-            _assert_contract(k.basis_matrix)
+        g = gamma(fx.ctx, M)
+        k = kappa(fx.ctx, M)
+        _assert_contract(g.basis_matrix)
+        _assert_contract(k.basis_matrix)
         for h in hom_space(fx.ctx.I_mod, M):
             _assert_contract(h.matrix)
         Q, proj = quotient_module(M, g)

@@ -126,7 +126,7 @@ def test_closure_degenerate_fail_names_conditions(r3, monkeypatch):
     class OneDimensional:
         dim = 1
 
-    monkeypatch.setattr(suites, "kappa", lambda ctx, M, shortcut=True: OneDimensional())
+    monkeypatch.setattr(suites, "kappa", lambda ctx, M: OneDimensional())
     rec = run_suite(r3, "closure", trials=0).records[-1]
     assert rec.name == "closure-degenerate-identity" and rec.status == "FAIL"
     assert rec.witness == "nonzero on the zero module: dim kappa=1"
@@ -293,6 +293,22 @@ ALL = tuple(FIXTURE_NAMES)
 # last kept candidate fails seven suites, and makes satz25 raise "free
 # cover is not minimal" on R4 and "free cover is not surjective" on KXY
 # and V2.
+# The next two trust one bound in a membership test once the Ann(I) exit
+# has passed: is_p_member returning "I*M = M" and is_s_member returning
+# "M[I] = 0", never calling gamma or kappa.  The first fails satz22 and
+# closure everywhere and duality on R3, R4 and V2; the second fails
+# duality alone, there.  A further fault sits behind the M[a] memo:
+# annihilator_submodule from the first minimal generator of a only,
+# caught by folg32 and duality on KXY and V2, whose ideals have two
+# generators.  The last, radical returning m^2*M, is caught by no suite
+# at trials=3.  It flips KXY's epi criterion to True, which
+# satz22-criterion prints but does not check, and at three trials
+# neither the satz22 branch that this selects nor the smallness check of
+# satz31 meets a module that it breaks; at the default trials satz22
+# (43 FAIL records) and satz31 (2) catch it on KXY.  It surfaces only as
+# the free cover's minimality certificate, raised in satz25 on R3, R4
+# and KXY; on V2, m*I = 0, so the radical of I, the one module that
+# satz25 covers, is 0 either way.
 _span = linalg.span
 _kernel = linalg.kernel
 _quotient_module = modules.quotient_module
@@ -300,6 +316,7 @@ _submodule_as_module = modules.submodule_as_module
 _minimal_generators = algebra._minimal_generators
 _ideal_times = modules._ideal_times
 _extend_basis = linalg.extend_basis
+_annihilator_submodule = modules._annihilator_submodule
 
 
 def _span_without_last_row(stacked, vectors, field, rank=1):
@@ -342,29 +359,51 @@ def _extend_basis_without_last(rows, candidates, field):
     return _extend_basis(rows, candidates, field)[:-1]
 
 
+def _p_member_trusting_lower_bound(ctx, M):
+    if annihilator_submodule(M, ctx.ann_i).dim != M.dim:
+        return False
+    return ideal_times_module(ctx.I, M).dim == M.dim
+
+
+def _s_member_trusting_upper_bound(ctx, M):
+    if ideal_times_module(ctx.ann_i, M).dim != 0:
+        return False
+    return annihilator_submodule(M, ctx.I).dim == 0
+
+
+def _annihilator_submodule_first_generator(M, a):
+    first = algebra.minimal_generators(a)[:1]
+    return _annihilator_submodule(M, ideal_from_generators(a.parent, first))
+
+
+def _radical_m_squared(M):
+    m = M.parent.max_ideal
+    return ideal_times_module(algebra.ideal_product(m, m), M)
+
+
 FAULTS = {
     "gamma": (
         classes, "gamma",
-        lambda ctx, M, shortcut=True: ideal_times_module(ctx.I, M),
+        lambda ctx, M: ideal_times_module(ctx.I, M),
         {"satz22": ALL, "satz31": ("R3",), "satz35": ALL, "folg36": ALL,
          "duality": ("R3", "R4", "V2"), "closure": ALL},
         {},
     ),
     "gamma-upper": (
         classes, "gamma",
-        lambda ctx, M, shortcut=True: annihilator_submodule(M, ctx.ann_i),
+        lambda ctx, M: annihilator_submodule(M, ctx.ann_i),
         {"duality": ("KXY",)},
         {},
     ),
     "kappa": (
         classes, "kappa",
-        lambda ctx, M, shortcut=True: annihilator_submodule(M, ctx.I),
+        lambda ctx, M: annihilator_submodule(M, ctx.I),
         {"satz31": ("R3",), "satz35": ALL, "folg36": ALL, "duality": ("R3", "R4", "V2")},
         {},
     ),
     "kappa-lower": (
         classes, "kappa",
-        lambda ctx, M, shortcut=True: ideal_times_module(ctx.ann_i, M),
+        lambda ctx, M: ideal_times_module(ctx.ann_i, M),
         {"duality": ("KXY",)},
         {},
     ),
@@ -422,6 +461,26 @@ FAULTS = {
          "satz25": ("R3",), "satz31": ALL, "folg32": ALL, "duality": ALL,
          "closure": ("R3", "R4", "KXY")},
         {"satz25": ("R4", "KXY", "V2")},
+    ),
+    "p-exit-trusts-lower-bound": (
+        classes, "is_p_member", _p_member_trusting_lower_bound,
+        {"satz22": ALL, "duality": ("R3", "R4", "V2"), "closure": ALL},
+        {},
+    ),
+    "s-exit-trusts-upper-bound": (
+        classes, "is_s_member", _s_member_trusting_upper_bound,
+        {"duality": ("R3", "R4", "V2")},
+        {},
+    ),
+    "annihilator-submodule-first-generator": (
+        modules, "_annihilator_submodule", _annihilator_submodule_first_generator,
+        {"folg32": ("KXY", "V2"), "duality": ("KXY", "V2")},
+        {},
+    ),
+    "radical-m-squared": (
+        modules, "radical", _radical_m_squared,
+        {},
+        {"satz25": ("R3", "R4", "KXY")},
     ),
 }
 
@@ -536,3 +595,19 @@ def test_each_distinct_draw_is_checked_once_per_suite(monkeypatch, name):
         run_suite(fx, "all")
         runs.append({loop: (computed[loop], drawn[loop]) for loop in drawn})
     assert runs == [VERDICTS[name]] * 2
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_satz31_solves_each_functor_once_per_verdict(monkeypatch, name):
+    """satz31 computes gamma and kappa once for each distinct (I, M) that
+    it checks: one route each, kept for the suite."""
+    calls = collections.Counter()
+    for fn in ("_gamma", "_kappa"):
+        def counted(*args, fn=fn, original=getattr(classes, fn)):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(classes, fn, counted)
+    run_suite(load(name), "satz31")
+    distinct = VERDICTS[name]["satz31"][0]
+    assert calls == {"_gamma": distinct, "_kappa": distinct}

@@ -1,6 +1,6 @@
-"""The trace and the reject by four routes: the shortcut, the
-presentation of I by its syzygies, and the Hom systems and star
-operators of the reference module.  All must agree wherever they apply.
+"""The trace and the reject by three routes: the presentation of I by
+its syzygies, and the Hom systems and star operators of the reference
+module.  All must agree wherever they apply.
 """
 
 import pytest
@@ -35,7 +35,13 @@ from matlislab.classes import (
     kappa,
 )
 from matlislab.duality import injective_cogenerator, matlis_dual
-from matlislab.modules import direct_power, ideal_times_module, quotient_module, regular_module
+from matlislab.modules import (
+    annihilator_submodule,
+    direct_power,
+    ideal_times_module,
+    quotient_module,
+    regular_module,
+)
 from matlislab.randmod import Lcg, random_ideal, random_module, random_submodule
 
 FIXTURES_BY_NAME = {name: load(name) for name in FIXTURE_NAMES}
@@ -43,12 +49,8 @@ FUZZ = settings(derandomize=True, max_examples=100, deadline=None, database=None
 
 
 def _assert_routes_agree(ctx, M):
-    g = gamma(ctx, M, shortcut=False)
-    k = kappa(ctx, M, shortcut=False)
-    assert g == hom_gamma(ctx, M)
-    assert k == hom_kappa(ctx, M)
-    assert gamma(ctx, M, shortcut=True) == g
-    assert kappa(ctx, M, shortcut=True) == k
+    assert gamma(ctx, M) == hom_gamma(ctx, M)
+    assert kappa(ctx, M) == hom_kappa(ctx, M)
 
 
 def _contexts(fx, rng, count):
@@ -140,7 +142,7 @@ def ideals_and_modules(draw):
 @FUZZ
 @given(ideals_and_modules())
 def test_routes_agree_on_drawn_ideals_and_modules(case):
-    """The shortcut, presentation and Hom routes agree, and so does the
+    """The presentation and Hom routes agree, and so does the
     lower star for the trace, and the upper star for the reject of F/B."""
     ctx, F, B, which = case
     Q, proj = quotient_module(F, B)
@@ -171,21 +173,36 @@ def _bound_modules(ctx, rng, draws):
     return mods
 
 
+def _p_exit(ctx, M):
+    """The exit of is_p_member that decides M, or None for the trace."""
+    if annihilator_submodule(M, ctx.ann_i).dim != M.dim:
+        return False
+    return True if ideal_times_module(ctx.I, M).dim == M.dim else None
+
+
+def _s_exit(ctx, M):
+    """The exit of is_s_member that decides M, or None for the reject."""
+    if ideal_times_module(ctx.ann_i, M).dim != 0:
+        return False
+    return True if annihilator_submodule(M, ctx.I).dim == 0 else None
+
+
 @pytest.mark.parametrize("name", BOUND_CASES)
 def test_membership_exits_are_exact(name):
-    """is_p_member and is_s_member, which return False from the Ann(I)
-    bound before computing the trace or the reject, agree with the full
-    routes, for the fixture's ideal, 0, R and drawn ideals.  Both the
-    modules that the bound decides and the others occur."""
+    """is_p_member and is_s_member, which return from the bounds before
+    computing the trace or the reject, agree with the full routes, for
+    the fixture's ideal, 0, R and drawn ideals.  Modules of every exit,
+    and modules that no exit decides, occur."""
     fx = load(name)
     rng = Lcg(73)
     decided = set()
     for ctx in _contexts(fx, rng, 2):
         for M in _bound_modules(ctx, rng, 2):
-            assert is_p_member(ctx, M) == (gamma(ctx, M, shortcut=False).dim == M.dim)
-            assert is_s_member(ctx, M) == (kappa(ctx, M, shortcut=False).dim == 0)
-            decided.add(ideal_times_module(ctx.ann_i, M).dim != 0)
-    assert decided == {True, False}
+            assert is_p_member(ctx, M) == (gamma(ctx, M).dim == M.dim)
+            assert is_s_member(ctx, M) == (kappa(ctx, M).dim == 0)
+            decided.add(("P", _p_exit(ctx, M)))
+            decided.add(("S", _s_exit(ctx, M)))
+    assert decided == {(c, e) for c in "PS" for e in (False, True, None)}
 
 
 class _Reached(Exception):
@@ -194,8 +211,9 @@ class _Reached(Exception):
 
 @pytest.mark.parametrize("name", BOUND_CASES)
 def test_bound_exit_skips_the_trace_and_the_reject(monkeypatch, name):
-    """A module with Ann(I)*M != 0 is in neither class without computing
-    gamma or kappa; any other module still reaches them.  On a fresh
+    """is_p_member reaches gamma if and only if M[Ann(I)] = M and
+    I*M != M, and is_s_member reaches kappa if and only if Ann(I)*M = 0
+    and M[I] != 0; otherwise they return the exit's verdict.  On a fresh
     parse, so that no memo answers in their place."""
     fx = load(name)
 
@@ -207,11 +225,10 @@ def test_bound_exit_skips_the_trace_and_the_reject(monkeypatch, name):
     rng = Lcg(79)
     for ctx in _contexts(fx, rng, 2):
         for M in _bound_modules(ctx, rng, 2):
-            if ideal_times_module(ctx.ann_i, M).dim:
-                assert not is_p_member(ctx, M)
-                assert not is_s_member(ctx, M)
-            else:
-                with pytest.raises(_Reached):
-                    is_p_member(ctx, M)
-                with pytest.raises(_Reached):
-                    is_s_member(ctx, M)
+            for member, exit_ in ((is_p_member, _p_exit), (is_s_member, _s_exit)):
+                verdict = exit_(ctx, M)
+                if verdict is None:
+                    with pytest.raises(_Reached):
+                        member(ctx, M)
+                else:
+                    assert member(ctx, M) is verdict
