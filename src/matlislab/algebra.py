@@ -420,10 +420,11 @@ def annihilator_of_ideal(I):
 
 
 def derived(memo, key, build):
-    """memo[key], or build() stored there on a miss: the get-or-build
-    path of the algebra's value memos (see Algebra).  Every key is a
-    tuple led by a str naming the construction, so keys of different
-    constructions never meet; build() never returns None."""
+    """memo[key], or build() stored there on a miss: the one get-or-build
+    path of the algebra's value memos (see Algebra); no other code reads
+    or writes them.  Every key is a tuple led by a str naming the
+    construction, so keys of different constructions never meet;
+    build() never returns None."""
     value = memo.get(key)
     if value is None:
         value = memo[key] = build()

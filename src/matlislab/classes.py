@@ -140,8 +140,9 @@ def gamma(ctx, M):
     The span of the slots of the solutions (m_1, ..., m_n) of
     s_1 m_1 + ... + s_n m_n = 0, s running over the syzygies of I.
     Computed once per (value of I, value of M) in a suite, and kept in
-    the algebra's _module_memo (see modules._by_ideal_value), where
-    modules equal to M find it.
+    the algebra's _module_memo (see modules._by_ideal_value): modules
+    equal to M get the same Submodule, whose ambient is the first of
+    them that asked.
     """
     return _by_ideal_value("gamma", ctx.I, M, lambda: _gamma(ctx, M))
 
@@ -165,7 +166,7 @@ def kappa(ctx, M):
     """The reject of I° in M: the smallest V with M/V in S.
 
     The m that lie in Syz.M inside M^n when put in slot j, for every j.
-    Memoized as gamma is.
+    Memoized as gamma is: modules equal to M get the same Submodule.
     """
     return _by_ideal_value("kappa", ctx.I, M, lambda: _kappa(ctx, M))
 

@@ -23,7 +23,7 @@ from .duality import matlis_dual
 from .errors import FixtureParseError, MatlisLabError, OutputPathError
 from .fixtures import format_submodule, format_vector, parse_fixture
 from .modules import hom_space, uniserial_chain
-from .suites import SUITES, run_suite
+from .suites import SUITE_ORDER, run_suite
 
 FIXTURE_DIR_VAR = "MATLISLAB_FIXTURE_DIR"
 
@@ -123,7 +123,7 @@ def main(argv=None):
     p_compute.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("suite", choices=sorted(n for n, _, _ in SUITE_ORDER) + ["all"])
     p_verify.add_argument("--fixture", required=True)
     p_verify.add_argument("--trials", type=int)
     p_verify.add_argument("--seed", type=int)

@@ -263,10 +263,7 @@ def span(stacked, vectors, field, rank=1):
             raise DimensionMismatch("vector of length %d, need %d" % (len(v), size))
         ints = _int_row(v)[0]
         prods = [_combine(cols, ints[s * n:(s + 1) * n], d * n) for s in range(rank)]
-        if rank == 1:
-            if prods[0]:
-                rows.extend([prods[0][lo:lo + n] for lo in range(0, d * n, n)])
-        elif any(prods):
+        if any(prods):
             for lo in range(0, d * n, n):
                 row = []
                 for prod in prods:

@@ -10,7 +10,7 @@ action; equality of submodules is representation equality.
 """
 
 from . import linalg
-from .algebra import Ideal, minimal_generators, unit_ideal
+from .algebra import Ideal, derived, minimal_generators, unit_ideal
 from .errors import (
     NotASubmodule,
     NotEquivariant,
@@ -31,8 +31,9 @@ class FModule:
     generated_submodule) and the hash of its value, computed on first use
     as Ideal's is.  The submodules I*M, M[I], the trace and the reject
     are kept by value in the algebra's _module_memo instead (see
-    _by_ideal_value), so equal modules of one algebra share them, and
-    drawn ones are one object, for one suite.
+    _by_ideal_value): for one suite, equal modules of one algebra get
+    the same Submodule object, whose ambient is the first of them that
+    asked, and drawn modules are one object too.
     """
 
     def __init__(self, parent, actions):
@@ -217,26 +218,14 @@ def _by_ideal_value(route, I, M, compute):
     """The submodule compute(), computed once per (route, value of I,
     value of M) in a suite.
 
-    It is kept in the algebra's _module_memo under (route, I, M), so
-    equal ideals and equal modules, equal as keys, share one entry, and
-    suites.run_suite empties it after each suite.  The entry is the
-    echelon pair, not the Submodule, whose ambient is the module that
-    asked: an equal module gets a Submodule of its own.
+    It is kept in the algebra's _module_memo under (route, I, M) through
+    algebra.derived, so equal ideals and equal modules, equal as keys,
+    get the one Submodule built first, and suites.run_suite empties the
+    memo after each suite.  Its ambient is the module that asked first,
+    equal in value to every module that finds it.
     """
     _require_ideal_over(I, M)
-    # the get-or-store of algebra.derived, inlined: this is the hottest
-    # memo (8,444 calls in one verify all over the shipped fixtures), and
-    # through derived, with a closure per call, a hit took a quarter longer
-    memo = M.parent._module_memo
-    key = (route, I, M)
-    pair = memo.get(key)
-    if pair is None:
-        U = compute()
-        memo[key] = (U.basis_matrix, U.pivots)
-        return U
-    U = Submodule.__new__(Submodule)  # the kept pair is tuples: no copy
-    U.ambient, (U.basis_matrix, U.pivots) = M, pair
-    return U
+    return derived(M.parent._module_memo, (route, I, M), compute)
 
 
 def _ideal_times(I, M, basis):
@@ -247,7 +236,7 @@ def _ideal_times(I, M, basis):
     rows = []
     for g in minimal_generators(I):
         act = M.action_of(g)
-        if basis is None or len(basis) == M.dim:
+        if basis is None:
             # g*M is spanned by the columns of g's action
             rows.extend(linalg.transpose(act))
         else:
@@ -265,13 +254,14 @@ def ideal_times_submodule(I, U):
 
 def ideal_times_module(I, M):
     """The submodule I*M, computed once per (value of I, value of M) in a
-    suite and shared by the modules equal to M (see _by_ideal_value)."""
+    suite: the modules equal to M get the same object (see
+    _by_ideal_value)."""
     return _by_ideal_value("I*M", I, M, lambda: _ideal_times(I, M, None))
 
 
 def annihilator_submodule(M, a):
     """M[a] = {v in M | a v = 0}, computed once per (value of a, value of
-    M) in a suite and shared by the modules equal to M (see
+    M) in a suite: the modules equal to M get the same object (see
     _by_ideal_value)."""
     return _by_ideal_value("M[I]", a, M, lambda: _annihilator_submodule(M, a))
 

@@ -93,11 +93,11 @@ def _trials(fx, name, count, draw, verdict):
     suite, and a repeated one reuses its verdict, kept under
     (name,) + inputs (see the module docstring).
     """
-    memo = fx.algebra._module_memo
     records = []
     for t in range(count):
         inputs = draw()
-        found = derived(memo, (name,) + inputs, lambda: verdict(*inputs))
+        found = derived(fx.algebra._module_memo, (name,) + inputs,
+                        lambda: verdict(*inputs))
         records.append(check(name % t, fx.name, *found))
     return records
 
@@ -468,8 +468,6 @@ SUITE_ORDER = [
     ("closure", suite_closure, 100),
 ]
 
-SUITES = {name: (fn, default) for name, fn, default in SUITE_ORDER}
-
 
 def run_suite(fx, suite, trials=None, seed=None):
     """Run one named suite (or "all") and return its Report.
@@ -480,16 +478,16 @@ def run_suite(fx, suite, trials=None, seed=None):
     """
     if trials is not None and trials < 0:
         raise MatlisLabError("trials must be non-negative, got %d" % trials)
-    if suite != "all" and suite not in SUITES:
+    names = [n for n, _, _ in SUITE_ORDER]
+    if suite != "all" and suite not in names:
         raise MatlisLabError(
-            "unknown suite %r (have: %s, all)" % (suite, ", ".join(SUITES))
+            "unknown suite %r (have: %s, all)" % (suite, ", ".join(names))
         )
     if seed is None:
         seed = fx.seed
-    names = [n for n, _, _ in SUITE_ORDER] if suite == "all" else [suite]
     records = []
     for idx, (name, fn, default) in enumerate(SUITE_ORDER):
-        if name not in names:
+        if suite not in ("all", name):
             continue
         rng = Lcg((seed << 8) + idx)
         try:

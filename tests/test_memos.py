@@ -4,7 +4,9 @@ Minimal generators and class contexts are kept in the algebra's
 _ideal_memo, under ("gens", I) and ("ctx", I); I*M, M[I], the trace and
 the reject in its _module_memo, under (route, I, M).
 Equal ideals and equal modules of one algebra are equal keys, so they
-share the entries, and run_suite empties _module_memo after each suite.
+share the entries: a module memo hands every equal module the Submodule
+it built first, whose ambient is the first module that asked, equal in
+value to the others.  run_suite empties _module_memo after each suite.
 Every test parses its fixtures afresh, so no memo entry comes from
 another test, and compares by value and by scalar type.
 """
@@ -116,11 +118,11 @@ def test_module_memos(name):
                 (ideal_times_module(I, M), uncached_ideal_times_module(I, M)),
                 (annihilator_submodule(M, I), uncached_annihilator_submodule(M, I)),
             ):
-                assert memoized.ambient is M
+                assert memoized.ambient == M
                 assert _pair(memoized) == _pair(uncached), (I, M)
             twin = _twin(I)
-            assert ideal_times_module(twin, M) == ideal_times_module(I, M)
-            assert annihilator_submodule(M, twin) == annihilator_submodule(M, I)
+            assert ideal_times_module(twin, M) is ideal_times_module(I, M)
+            assert annihilator_submodule(M, twin) is annihilator_submodule(M, I)
 
 
 # the Hom routes solve dim(I).dim(M) unknowns, too many for the dim-10
@@ -139,9 +141,9 @@ def test_trace_and_reject_memos(name):
                     classes.kappa: _pair(hom_kappa(ctx, M))}
             for functor, pair in want.items():
                 U = functor(ctx, M)
-                assert U.ambient is M
+                assert U.ambient == M
                 assert _pair(U) == pair, (functor.__name__, I, M)
-                assert _pair(functor(ctx, M)) == pair
+                assert functor(ctx, M) is U
 
 
 def _fill_memos(ctx, M):
@@ -157,7 +159,8 @@ def _fill_memos(ctx, M):
 @pytest.mark.parametrize("name", CASES)
 def test_equal_modules_share_their_memos(monkeypatch, name):
     """A module equal to one already met, but a distinct object, finds
-    I*M, M[I], gamma and kappa computed."""
+    I*M, M[I], gamma and kappa computed: the same Submodules, whose
+    ambient is the module met first."""
     A = load(name).algebra
     modules = _modules(A)
     contexts = [class_context(A, I) for I in _ideals(A)]
@@ -177,7 +180,7 @@ def test_equal_modules_share_their_memos(monkeypatch, name):
         twin = _twin_module(M)
         for j, ctx in enumerate(contexts):
             for (entry, U), (_, V) in zip(filled[i, j], _fill_memos(ctx, twin)):
-                assert V.ambient is twin and V == U, (entry, ctx.I, M)
+                assert V is U and V.ambient == twin, (entry, ctx.I, M)
                 assert _pair(V) == _pair(U)
                 # the twin read the entry that M stored, under M's key
                 assert memo[entry, ctx.I, twin] is kept[entry, ctx.I, M]

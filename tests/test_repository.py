@@ -87,3 +87,47 @@ def test_every_public_name_has_a_caller_in_the_package():
         )
     }
     assert uncalled == UNCALLED_API
+
+
+MEMOS = {"_module_memo", "_ideal_memo"}
+
+
+def _memo_uses(node, up=(None, None), scope=()):
+    """(attribute node, its parent, its grandparent, enclosing def and
+    class names) for each use of an algebra value memo under node."""
+    if isinstance(node, ast.Attribute) and node.attr in MEMOS:
+        yield (node,) + up + (scope,)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = scope + (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _memo_uses(child, (node, up[0]), scope)
+
+
+def _allowed_memo_use(node, parent, grandparent, scope):
+    """The three places a value memo may be named: the memo argument of
+    algebra.derived, its creation in Algebra.__init__ and the .clear() in
+    run_suite."""
+    if isinstance(parent, ast.Call):
+        func = parent.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return callee == "derived" and parent.args[:1] == [node]
+    if isinstance(parent, ast.Assign):
+        return (scope[-2:] == ("Algebra", "__init__") and parent.targets == [node]
+                and isinstance(parent.value, ast.Dict) and not parent.value.keys)
+    if isinstance(parent, ast.Attribute) and parent.attr == "clear":
+        return (scope[-1:] == ("run_suite",) and isinstance(grandparent, ast.Call)
+                and grandparent.func is parent and not grandparent.args)
+    return False
+
+
+def test_value_memos_are_used_only_through_derived():
+    """Every read or write of an algebra value memo goes through
+    algebra.derived, apart from its creation and the clear() that ends a
+    suite: no module keeps a second get-or-build path."""
+    stray = [
+        "%s:%d" % (path.name, use[0].lineno)
+        for path in sorted((ROOT / "src" / "matlislab").glob("*.py"))
+        for use in _memo_uses(ast.parse(path.read_text(encoding="utf-8")))
+        if not _allowed_memo_use(*use)
+    ]
+    assert stray == []

@@ -12,12 +12,12 @@ from matlislab.errors import MatlisLabError
 from matlislab.fixtures import Fixture, format_ideal, fixture_from_dict
 from matlislab.modules import FModule, annihilator_submodule, ideal_times_module, radical
 from matlislab.report import CheckRecord, Report, check
-from matlislab.suites import SUITES, run_suite
+from matlislab.suites import SUITE_ORDER, run_suite
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, load
 from reference import every_trial
 
-SUITE_NAMES = sorted(SUITES)
+SUITE_NAMES = sorted(name for name, _, _ in SUITE_ORDER)
 
 # sha256 prefixes of run_suite(fx, "all").render() at each shipped
 # fixture's own seed and the default trial counts
@@ -309,6 +309,19 @@ ALL = tuple(FIXTURE_NAMES)
 # the free cover's minimality certificate, raised in satz25 on R3, R4
 # and KXY; on V2, m*I = 0, so the radical of I, the one module that
 # satz25 covers, is 0 either way.
+# The last four drop part of a result that a suite only reads through
+# another construction.  annihilator_in_dual dropping its last echelon
+# row when it has more than one fails folg36 on R3 and R4, and duality on
+# R3, R4 and KXY.  extension_from_class building B from the zero cocycle,
+# whatever class it is given, splits every extension, so satz25 fails on
+# every fixture.  ext1 keeping only its first representative is caught by
+# no suite: on every shipped fixture the first basis class already gives
+# Ann(I)*B != 0, which is all that satz25 reads, no record prints
+# dim Ext^1, and the k[x,y]/(x,y)^3, I = (x, y^2) fixture of
+# test_satz25_witness_for_x_y2_in_xy_cubed passes under it too, over Q
+# and F_3.  annihilator_of_ideal dropping its last row when it has more
+# than one makes the double annihilator certificate raise NotFree in
+# every suite but folg33 on every fixture, and no suite fails.
 _span = linalg.span
 _kernel = linalg.kernel
 _quotient_module = modules.quotient_module
@@ -317,6 +330,10 @@ _minimal_generators = algebra._minimal_generators
 _ideal_times = modules._ideal_times
 _extend_basis = linalg.extend_basis
 _annihilator_submodule = modules._annihilator_submodule
+_annihilator_in_dual = duality.annihilator_in_dual
+_extension_from_class = ext.extension_from_class
+_ext1 = ext.ext1
+_annihilator_of_ideal = algebra.annihilator_of_ideal
 
 
 def _span_without_last_row(stacked, vectors, field, rank=1):
@@ -379,6 +396,31 @@ def _annihilator_submodule_first_generator(M, a):
 def _radical_m_squared(M):
     m = M.parent.max_ideal
     return ideal_times_module(algebra.ideal_product(m, m), M)
+
+
+def _annihilator_in_dual_without_last_row(M, U):
+    V = _annihilator_in_dual(M, U)
+    if V.dim <= 1:
+        return V
+    return modules.Submodule(V.ambient, V.basis_matrix[:-1], V.pivots[:-1])
+
+
+def _extension_from_zero_cocycle(ext_space, cocycle):
+    A, K = ext_space.A, ext_space.cover.K_mod
+    zero = linalg.zeros(A.dim, K.dim, A.parent.field)
+    return _extension_from_class(ext_space, modules.ModuleMap(K, A, zero))
+
+
+def _ext1_keeping_one_class(C, A, cover=None):
+    space = _ext1(C, A, cover)
+    return ext.Ext1Space(space.C, space.A, space.cover, space.representatives[:1])
+
+
+def _annihilator_of_ideal_without_last_row(I):
+    J = _annihilator_of_ideal(I)
+    if J.dim <= 1:
+        return J
+    return algebra.Ideal(J.parent, J.basis_matrix[:-1], J.pivots[:-1])
 
 
 FAULTS = {
@@ -481,6 +523,27 @@ FAULTS = {
         modules, "radical", _radical_m_squared,
         {},
         {"satz25": ("R3", "R4", "KXY")},
+    ),
+    "annihilator-in-dual-drops-last-row": (
+        duality, "annihilator_in_dual", _annihilator_in_dual_without_last_row,
+        {"folg36": ("R3", "R4"), "duality": ("R3", "R4", "KXY")},
+        {},
+    ),
+    "extension-from-zero-cocycle": (
+        ext, "extension_from_class", _extension_from_zero_cocycle,
+        {"satz25": ALL},
+        {},
+    ),
+    "ext1-keeps-one-class": (
+        ext, "ext1", _ext1_keeping_one_class,
+        {},
+        {},
+    ),
+    "annihilator-of-ideal-drops-last-row": (
+        algebra, "annihilator_of_ideal", _annihilator_of_ideal_without_last_row,
+        {},
+        {"lemma11": ALL, "satz22": ALL, "satz25": ALL, "satz31": ALL, "folg32": ALL,
+         "satz35": ALL, "folg36": ALL, "duality": ALL, "closure": ALL},
     ),
 }
 
