@@ -2,14 +2,13 @@
 
 Matrices are tuples of row tuples; vectors are tuples.  Row reduction
 runs one of two kernels on plain ints: elimination mod p over F_p, and
-fraction-free Gauss-Jordan on denominator-cleared rows over Q.  Five
+fraction-free Gauss-Jordan on denominator-cleared rows over Q.  Four
 functions use them:
 
 - :func:`rref`, the reduced row echelon form of a row space;
-- :func:`nullspace`, one solution of ``rows . v = 0`` per free column;
-- :func:`kernel`, the reduced row echelon form of that solution space.
-  It equals ``rref(nullspace(rows))`` but needs one elimination, of the
-  rows with their columns reversed, instead of two;
+- :func:`kernel`, the reduced row echelon form of the solution space of
+  ``rows . v = 0``, from one elimination of the rows with their columns
+  reversed;
 - :func:`span`, the reduced row echelon form of the span of all
   products a_k . v of given vectors v, read off the
   :func:`stacked_columns` of the matrices a_k in one integer pass;
@@ -17,23 +16,29 @@ functions use them:
   given rows, read off the pivot columns of one :func:`rref` of the
   rows and candidates side by side as columns.
 
-Most rows of these systems are zero, and a zero row spans nothing, so
-it is dropped before any per-entry work is spent on it: over Q before
-:func:`_int_row` clears denominators (in :func:`rref`, :func:`nullspace`
-and :func:`kernel`), over F_p before the copy of the rows mod p that
-starts :func:`_rref_fp`.  The integer rows that :func:`span` builds over
-Q need no conversion and enter :func:`_rref_int` as they are.  A row of
-ints that is nonzero but vanishes mod p still enters the copy mod p and
-is eliminated there.
+:func:`nullspace`, one solution of ``rows . v = 0`` per free column,
+takes its rows as mappings from column to coefficient and eliminates
+them as sparse rows, with the same arithmetic.  Its caller is
+``modules.hom_space``, whose equivariance equations each touch at most
+dim M + dim N of the dim M * dim N unknowns.
 
-Over Q the last two read their vectors off the integer echelon form and
-divide each nonzero entry by its pivot once, with :func:`_div`.  The
-product :func:`mat_mul`, and :func:`mat_vec` through it, also sums plain
-ints, reduced mod p once per entry over F_p and divided by the cleared
-denominators once per entry over Q.  A zero row of its left factor or a
-zero column of its right factor gives zero entries before any
-conversion or dot product.  Every Q result keeps the scalar
-contract of :mod:`matlislab.fields`: an int when integral, else a
+Most rows of the dense systems are zero, and a zero row spans nothing,
+so it is dropped before any per-entry work is spent on it: over Q before
+:func:`_int_row` clears denominators (in :func:`rref` and
+:func:`kernel`), over F_p before the copy of the rows mod p that starts
+:func:`_rref_fp`, and in :func:`kernel` before its columns are reversed.
+The integer rows that :func:`span` builds over Q need no conversion and
+enter :func:`_rref_int` as they are.  A row of ints that is nonzero but
+vanishes mod p still enters the copy mod p and is eliminated there.
+
+Over Q, :func:`kernel` and :func:`nullspace` read their vectors off an
+integer echelon form and divide each nonzero entry by its pivot once,
+with :func:`_div`.  The product :func:`mat_mul`, and :func:`mat_vec`
+through it, also sums plain ints, reduced mod p once per entry over F_p
+and divided by the cleared denominators once per entry over Q.  A zero
+row of its left factor or a zero column of its right factor gives zero
+entries before any conversion or dot product.  Every Q result keeps the
+scalar contract of :mod:`matlislab.fields`: an int when integral, else a
 Fraction.
 """
 
@@ -323,69 +328,156 @@ def in_row_space(rref_rows, pivots, vec, field):
     return not any(reduce_vector(rref_rows, pivots, vec, field))
 
 
-def nullspace(rows, field):
-    """Basis of {v | rows . v = 0}, one vector per free column.
+def nullspace(rows, n, field):
+    """Basis of {v in k^n | rows . v = 0}, one vector per free column.
+
+    Each row is a mapping from column index to coefficient; absent
+    columns are zero, and explicit zeros, Fractions over Q and any
+    representatives mod p over F_p are accepted.  Only the nonzero
+    entries are kept.  Each row is reduced against the pivot rows kept so
+    far in column order, mod p over F_p and fraction-free over Q, and
+    what is left becomes a pivot row; back-substitution then clears each
+    pivot column from the other pivot rows.
 
     Deterministic: the vector for free column j has a 1 at j, the
     pivot-column entries completing it, and 0 at the other free columns.
+    The reduced echelon form is unique, so this is the basis a dense
+    elimination of the same rows reads off.
     """
-    rows = list(rows)
-    if not rows or not rows[0]:
-        return ()
-    basis, _ = _null_basis(rows, field)
-    return tuple(tuple(v) for v in basis)
+    p = field.p if isinstance(field, PrimeField) else 0
+    piv = {}  # pivot column -> its row, whose entries lie at or right of it
+    for row in rows:
+        r = _sparse_row(row, p)
+        while r:
+            c = min(r)
+            prow = piv.get(c)
+            if prow is None:
+                piv[c] = _lead_one(r, c, p) if p else _primitive(r, c)
+                break
+            _eliminate(r, c, prow, p)
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        later = [k for k in row if k != c and k in piv]
+        for k in later:
+            _eliminate(row, k, piv[k], p)
+        if later and not p:
+            _primitive(row, c)
+    entries = {}  # free column j -> [(pivot column c, entry c of its vector)]
+    for c, row in piv.items():
+        lead = row[c]
+        for j, x in row.items():
+            if j != c:
+                entries.setdefault(j, []).append((c, -x % p if p else _div(-x, lead)))
+    basis = []
+    for j in range(n):
+        if j not in piv:
+            v = [field.zero] * n
+            v[j] = field.one
+            for c, x in entries.get(j, ()):
+                v[c] = x
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _sparse_row(row, p):
+    """The nonzero entries of a mapping row as a dict of ints: reduced
+    mod p when p, else with the row's denominators cleared."""
+    if p:
+        return {k: y for k, x in row.items() if (y := x % p)}
+    r = {k: x for k, x in row.items() if x}
+    for x in r.values():
+        if type(x) is not int:
+            return dict(zip(r, _int_row(list(r.values()))[0]))
+    return r
+
+
+def _eliminate(r, c, prow, p):
+    """Clear column c of the sparse row r, in place, with the pivot row
+    prow whose leading column is c: r - r[c] * prow over F_p, where that
+    lead is 1; over Q the integer combination b * r - a * prow with
+    a / b = r[c] / prow[c] in lowest terms."""
+    a = r[c]
+    if not p:
+        b = prow[c]
+        g = gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            for k in r:
+                r[k] *= b
+    for k, x in prow.items():
+        y = r.get(k, 0) - a * x
+        if p:
+            y %= p
+        if y:
+            r[k] = y
+        else:
+            del r[k]
+
+
+def _lead_one(r, c, p):
+    """The sparse row r over F_p scaled, in place, to a 1 at column c."""
+    x = r[c]
+    if x != 1:
+        inv = pow(x, p - 2, p)
+        for k in r:
+            r[k] = r[k] * inv % p
+    return r
+
+
+def _primitive(r, c):
+    """The sparse int row r divided, in place, by its content, signed so
+    that its leading entry, at column c, is positive."""
+    g = gcd(*r.values())
+    if r[c] < 0:
+        g = -g
+    if g != 1:
+        for k in r:
+            r[k] //= g
+    return r
 
 
 def kernel(rows, field):
     """Reduced row echelon form of {v | rows . v = 0}; returns (rows, pivots).
 
-    Equal to ``rref(nullspace(rows, field), field)``, from one
-    elimination: the rows are reduced with their columns reversed.  The
-    null-space vector of a free column j then has its 1 at j, zeros at
-    the other free columns and nonzero entries only at pivot columns
-    right of j, so these vectors in column order are already the reduced
-    echelon form, with the free columns as its pivots.
+    Equal to the :func:`rref` of the :func:`nullspace` of the same rows,
+    from one elimination: the nonzero rows are reduced with their columns
+    reversed.  The null-space vector of a free column j then has its 1
+    at j, zeros at the other free columns and nonzero entries only at
+    pivot columns right of j, so these vectors in column order are
+    already the reduced echelon form, with the free columns as its
+    pivots.  Over Q the elimination runs on integer rows and each
+    nonzero entry is divided by its pivot once; when every row is zero,
+    every column is free.
     """
     rows = list(rows)
     if not rows or not rows[0]:
         return (), ()
     n = len(rows[0])
-    basis, free = _null_basis([r[::-1] for r in rows], field)
-    return (
-        tuple(tuple(v[::-1]) for v in reversed(basis)),
-        tuple(n - 1 - j for j in reversed(free)),
-    )
-
-
-def _null_basis(rows, field):
-    """The null-space vectors (lists) of nonempty rows, and their free
-    columns, read off the kernel's echelon form: over Q the elimination
-    runs on integer rows and each nonzero entry is divided by its pivot
-    once.  Zero rows are dropped before :func:`_int_row` over Q and by
-    :func:`_rref_fp` over F_p; when none is left, every column is free.
-    """
+    rev = [r[::-1] for r in rows if any(r)]
     p = field.p if isinstance(field, PrimeField) else 0
-    if p:
-        red, pivots = _rref_fp(rows, p)
+    if not rev:
+        red, pivots = [], []
+    elif p:
+        red, pivots = _rref_fp(rev, p)
     else:
-        ints = [_int_row(r)[0] for r in rows if any(r)]
-        red, pivots = _rref_int(ints) if ints else ([], [])
-    n = len(rows[0])
+        red, pivots = _rref_int([_int_row(r)[0] for r in rev])
     pivset = set(pivots)
     basis = []
     free = []
-    for j in range(n):
+    # reversed column j is column n - 1 - j of the rows as given
+    for j in range(n - 1, -1, -1):
         if j in pivset:
             continue
         v = [field.zero] * n
-        v[j] = field.one
+        v[n - 1 - j] = field.one
         for c, row in zip(pivots, red):
             x = row[j]
             if x:
-                v[c] = -x % p if p else _div(-x, row[c])
-        basis.append(v)
-        free.append(j)
-    return basis, free
+                v[n - 1 - c] = -x % p if p else _div(-x, row[c])
+        basis.append(tuple(v))
+        free.append(n - 1 - j)
+    return tuple(basis), tuple(free)
 
 
 def identity(n, field):

@@ -293,38 +293,47 @@ def hom_space(M, N):
     solved from the equivariance system.
 
     Equivariance against the algebra variables suffices since they
-    generate the algebra together with 1.  The basis is the one
-    linalg.nullspace fixes on the unknowns X[a][c], read row-major: one
-    map per free unknown, 1 there and 0 at the other free unknowns.
+    generate the algebra together with 1.  Each equation touches one
+    column of the action on M and one row of the action on N, so it is
+    built as a sparse row of at most dim M + dim N of the dim M * dim N
+    unknowns, and an equation whose column and row are both zero is left
+    out; linalg.nullspace eliminates these rows as they are.  The basis
+    is the one it fixes on the unknowns X[a][c], read row-major: one map
+    per free unknown, 1 there and 0 at the other free unknowns.
     """
     _require_same_parent(M, N)
     f = M.parent.field
     dm, dn = M.dim, N.dim
     if dm == 0 or dn == 0:
         return ()
-    n = dn * dm
     rows = []
     for ga, gb in zip(M.generator_actions(), N.generator_actions()):
         # X ga - gb X = 0, unknowns X[a][j] vectorized row-major; with
         # ga = gaI/da and gb = gbI/db each equation is scaled by da*db,
-        # so every entry is an int
+        # so every entry is an int.  Equation (a, c) reads column c of ga
+        # and row a of gb: it holds only their nonzero entries
         gaI, da = linalg.int_matrix(ga)
         gbI, db = linalg.int_matrix(gb)
-        ga_cols = [[db * row[c] for row in gaI] for c in range(dm)]
+        ga_cols = [
+            [(j, db * row[c]) for j, row in enumerate(gaI) if row[c]] for c in range(dm)
+        ]
         for a in range(dn):
-            gb_terms = [(i * dm, -da * x) for i, x in enumerate(gbI[a]) if x]
+            gb_terms = [(i * dm, -da * x) for i, x in enumerate(gbI[a]) if x and i != a]
             lo = a * dm
-            for c in range(dm):
-                row = [0] * n
-                row[lo:lo + dm] = ga_cols[c]
+            diag = da * gbI[a][a]
+            for c, col in enumerate(ga_cols):
+                if not (col or gb_terms or diag):
+                    continue
+                row = {lo + j: x for j, x in col}
                 for i, x in gb_terms:
                     row[i + c] = x
-                # the one unknown in both sums: X[a][c]
-                row[lo + c] = ga_cols[c][c] - da * gbI[a][a]
+                # the one unknown in both sums: X[a][c], left to
+                # linalg.nullspace to drop where it cancels to 0
+                row[lo + c] = row.get(lo + c, 0) - diag
                 rows.append(row)
     return tuple(
         ModuleMap(M, N, tuple(s[a * dm:(a + 1) * dm] for a in range(dn)))
-        for s in linalg.nullspace(rows, f)
+        for s in linalg.nullspace(rows, dn * dm, f)
     )
 
 

@@ -308,12 +308,29 @@ def ideal_sum(I, J):
     return Ideal(I.parent, *linalg.rref(rows, I.parent.field))
 
 
+def dense_nullspace(rows, ncols, field):
+    """Basis of {v in k^ncols | rows . v = 0} read off the dense
+    linalg.rref of ``rows``: one vector per free column j, with 1 at j,
+    0 at the other free columns and minus entry j of each echelon row at
+    that row's pivot column.  The textbook route, kept apart from the
+    sparse elimination of linalg.nullspace."""
+    red, pivots = linalg.rref(rows, field)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[j] = field.one
+        for row, c in zip(red, pivots):
+            v[c] = field.neg(row[j])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 def vanishing_functionals(rows, ncols, field):
     """Basis of the linear functionals f killing the row space of
     ``rows``, as row vectors with rows . f^T = 0."""
-    if not rows:
-        return linalg.identity(ncols, field)
-    return linalg.nullspace(rows, field)
+    return dense_nullspace(rows, ncols, field)
 
 
 def submodule_intersection(U, V):

@@ -95,16 +95,38 @@ def test_rref_zero_matrix():
     assert red == () and pivots == ()
 
 
+def _as_mappings(rows):
+    """``rows`` as mapping rows twice over: their nonzero entries, and
+    every entry with its explicit zeros."""
+    return (
+        [{j: x for j, x in enumerate(r) if x} for r in rows],
+        [dict(enumerate(r)) for r in rows],
+    )
+
+
 def test_nullspace_annihilates():
-    rows = [(F(1), F(2), F(3)), (F(0), F(1), F(1))]
-    ns = linalg.nullspace(rows, QQ)
-    assert len(ns) == 1
-    for r in rows:
-        assert sum(a * b for a, b in zip(r, ns[0])) == 0
+    for field in (QQ, F5, F101):
+        cases = [((F(1), F(2), F(3)), (F(0), F(1), F(1)))] if field is QQ else []
+        for rows in cases + _kernel_cases(field):
+            n = len(rows[0])
+            for mapped in _as_mappings(rows):
+                ns = linalg.nullspace(mapped, n, field)
+                assert len(ns) == n - linalg.rank(rows, field)
+                for v in ns:
+                    for r in rows:
+                        assert _dot_ref(r, v, field) == 0
 
 
 def test_nullspace_full_rank():
-    assert linalg.nullspace([(F(1), F(0)), (F(0), F(1))], QQ) == ()
+    rows = [(F(1), F(0)), (F(0), F(1))]
+    for mapped in _as_mappings(rows):
+        assert linalg.nullspace(mapped, 2, QQ) == ()
+    for field in (QQ, F5, F101):
+        for rows in _kernel_cases(field):
+            n = len(rows[0])
+            if linalg.rank(rows, field) == n:
+                for mapped in _as_mappings(rows):
+                    assert linalg.nullspace(mapped, n, field) == ()
 
 
 def test_in_row_space():
@@ -447,15 +469,21 @@ def _kernel_cases(field):
 @pytest.mark.parametrize("field", [QQ, F5, F101])
 def test_kernel_matches_rref_of_nullspace(field):
     for rows in _kernel_cases(field):
-        ns = linalg.nullspace(rows, field)
-        _assert_same(ns, _nullspace_ref(rows, field))
+        n = len(rows[0])
+        want = _nullspace_ref(rows, field)
+        for mapped in _as_mappings(rows):
+            _assert_same(linalg.nullspace(mapped, n, field), want)
         red, pivots = linalg.kernel(rows, field)
-        want_red, want_pivots = linalg.rref(ns, field)
+        want_red, want_pivots = linalg.rref(want, field)
         _assert_same(red, want_red)
         assert pivots == want_pivots
-        assert len(pivots) == len(rows[0]) - linalg.rank(rows, field)
-    # no rows, and rows of zero width, have no kernel vectors
+        assert len(pivots) == n - linalg.rank(rows, field)
+    # rows of zero width have no kernel vectors
     for rows in ((), ((), ())):
-        assert linalg.kernel(rows, field) == ((), ()) == linalg.rref(
-            linalg.nullspace(rows, field), field
-        )
+        assert linalg.kernel(rows, field) == ((), ())
+        assert linalg.nullspace([{} for _ in rows], 0, field) == ()
+    # with no rows, or only zero ones, every column is free
+    for n in range(1, 5):
+        unit = linalg.identity(n, field)
+        _assert_same(linalg.nullspace([], n, field), unit)
+        _assert_same(linalg.nullspace([{}, {n - 1: 0}], n, field), unit)

@@ -6,6 +6,7 @@ import pytest
 from reference import (
     cokernel_by_free_module,
     colon_submodule,
+    dense_nullspace,
     image,
     is_essential,
     is_small,
@@ -417,7 +418,9 @@ def test_quotient_actions_match_section_formula(name):
 def _hom_basis_by_fractions(M, N):
     """The equivariance system X ga - gb X = 0 written entry by entry with
     field arithmetic, as hom_space built it before it cleared
-    denominators; returns the basis matrices."""
+    denominators, and solved by the dense rref of dense_nullspace, apart
+    from the sparse elimination hom_space calls; returns the basis
+    matrices."""
     f = M.parent.field
     dm, dn = M.dim, N.dim
     if dm == 0 or dn == 0:
@@ -435,7 +438,7 @@ def _hom_basis_by_fractions(M, N):
                 rows.append(tuple(row))
     return [
         tuple(tuple(s[a * dm + j] for j in range(dm)) for a in range(dn))
-        for s in linalg.nullspace(rows, f)
+        for s in dense_nullspace(rows, dn * dm, f)
     ]
 
 

@@ -89,6 +89,12 @@ def test_field_operations_keep_the_contract():
         assert x == Fraction(num, den) and _is_q_scalar(x)
 
 
+def _mapping_rows(rows):
+    """Dense rows as the mapping rows linalg.nullspace takes, explicit
+    zeros included."""
+    return [dict(enumerate(r)) for r in rows]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_linalg_results_keep_the_contract(seed):
     rng = random.Random(seed)
@@ -96,7 +102,7 @@ def test_linalg_results_keep_the_contract(seed):
         rows = _rows(rng, nrows, ncols)
         red, pivots = linalg.rref(rows, QQ)
         _assert_contract(red)
-        _assert_contract(linalg.nullspace(rows, QQ))
+        _assert_contract(linalg.nullspace(_mapping_rows(rows), ncols, QQ))
         _assert_contract(linalg.kernel(rows, QQ)[0])
         for v in _vectors(rng, ncols):
             _assert_contract([linalg.reduce_vector(red, pivots, v, QQ)])
@@ -109,7 +115,10 @@ def test_linalg_results_keep_the_contract(seed):
         results = (
             (linalg.rref(as_fractions, QQ)[0], red),
             (linalg.kernel(as_fractions, QQ)[0], linalg.kernel(rows, QQ)[0]),
-            (linalg.nullspace(as_fractions, QQ), linalg.nullspace(rows, QQ)),
+            (
+                linalg.nullspace(_mapping_rows(as_fractions), ncols, QQ),
+                linalg.nullspace(_mapping_rows(rows), ncols, QQ),
+            ),
             (linalg.mat_mul(as_fractions, other, QQ), linalg.mat_mul(rows, other, QQ)),
         )
         results += tuple(

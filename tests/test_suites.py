@@ -187,14 +187,31 @@ def _power_of_max_ideal(field, nvars, n):
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3"])
 def test_satz25_witness_for_x_y2_in_xy_cubed(tmp_path, capsys, field):
-    """k[x,y]/(x,y)^3 with I = (x, y^2): Satz 2.5 holds, but the first
-    basis class of Ext^1(I°, I°) gives a module inside S, so the class
-    that the witness comes from has to be chosen."""
+    """k[x,y]/(x,y)^3 with I = (x, y^2): Satz 2.5 holds, and the CLI
+    reports both witnesses.  Here the first basis class of Ext^1(I, I)
+    already gives Ann(I)*B != 0; test_satz25_searches_past_the_first_class
+    has an ideal where it does not."""
     doc = dict(_power_of_max_ideal(field, 2, 3), ideal=[[[1, 1, [1, 0]]], [[1, 1, [0, 2]]]])
     path = tmp_path / "xy3.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", "satz25", "--fixture", str(path)]) == 0
     assert capsys.readouterr().out.endswith("total=2 pass=2 fail=0\n")
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_satz25_searches_past_the_first_class(monkeypatch, field):
+    """k[x,y]/(x,y)^4 with I = (x, y^2), one ideal of the monomial family
+    below: the first basis class of Ext^1(I, I) gives Ann(I)*B = 0, so
+    satz25 passes only because it goes on to a later class.  With ext1
+    keeping its first class alone, it finds no witness."""
+    doc = dict(_power_of_max_ideal(field, 2, 4), ideal=[[[1, 1, [1, 0]]], [[1, 1, [0, 2]]]])
+    assert run_suite(fixture_from_dict(doc), "satz25").render().endswith(
+        "total=2 pass=2 fail=0\n"
+    )
+    _patch_every_binding(monkeypatch, ext, "ext1", _ext1_keeping_one_class)
+    records = run_suite(fixture_from_dict(doc), "satz25").records
+    cause = "no class of Ext^1(C, C) gives Ann(I)*B != 0 for C of dim 8"
+    assert [(r.status, r.witness) for r in records] == [("FAIL", cause)] * 2
 
 
 # (variables, n, distinct monomial ideals with at most 3 generators)
@@ -319,7 +336,8 @@ ALL = tuple(FIXTURE_NAMES)
 # Ann(I)*B != 0, which is all that satz25 reads, no record prints
 # dim Ext^1, and the k[x,y]/(x,y)^3, I = (x, y^2) fixture of
 # test_satz25_witness_for_x_y2_in_xy_cubed passes under it too, over Q
-# and F_3.  annihilator_of_ideal dropping its last row when it has more
+# and F_3; test_satz25_searches_past_the_first_class catches it on the
+# (x, y^2) fixture in (x,y)^4.  annihilator_of_ideal dropping its last row when it has more
 # than one makes the double annihilator certificate raise NotFree in
 # every suite but folg33 on every fixture, and no suite fails.
 _span = linalg.span
